@@ -73,12 +73,8 @@ def log_joint_softmax(m):
 def confidence(m):
     """Bounded local alignment confidence: elementwise logistic sigmoid."""
     m = np.asarray(m, dtype=np.float64)
-    out = np.empty_like(m)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    em = np.exp(m[~pos])
-    out[~pos] = em / (1.0 + em)
-    return out
+    e = np.exp(-np.abs(m))  # exp(-m) where m >= 0, exp(m) below: never overflows
+    return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def region_stats(r, region, eps=1e-6, std_mode="population"):

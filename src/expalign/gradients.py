@@ -5,6 +5,9 @@ map; the three-scale maps fuse down for the contrastive term and up for the
 geometry term. Backward accumulates into the feature maps and the token
 embeddings, the two quantities an encoder or adapter would receive.
 
+The head is computed in rank-C form, sbar = T.fbar and eam = F^T (pi^T T): the
+(P, H, W, L) similarity tensor of eah's reference form is never built.
+
 Internally prompts are padded to a common token count and processed batched;
 pad tokens carry exactly zero posterior weight and zero gradient, so padding
 is semantically invisible.
@@ -54,6 +57,8 @@ def coerce_inputs(features, tokens, token_valid=None):
     if len(features) != 3:
         raise DimensionError(f"expected 3 feature maps (scales 3, 4, 5), got {len(features)}")
     fvals = [f.values if isinstance(f, FeatureMap) else np.asarray(f, dtype=np.float64) for f in features]
+    if not all(np.isfinite(fv).all() for f, fv in zip(features, fvals) if not isinstance(f, FeatureMap)):
+        raise DomainError("feature values must be finite")
     tvals, valids = [], []
     for p, t in enumerate(tokens):
         if isinstance(t, TokenBatch):
@@ -84,15 +89,27 @@ def coerce_inputs(features, tokens, token_valid=None):
     for p, (tv, va) in enumerate(zip(tvals, valids)):
         tok_stack[p, :tv.shape[0]] = tv
         valid_stack[p, :tv.shape[0]] = va
+    if not np.isfinite(tok_stack).all():
+        raise DomainError("token embeddings must be finite")
     return fvals, tok_stack, valid_stack, lengths
 
 
 def _masked_posteriors(sbar, valid, tau_t):
-    """Row-wise softmax of sbar / tau_t over valid entries; invalid get exactly 0."""
+    """Row-wise softmax of sbar / tau_t over valid entries; invalid get exp(-inf) = 0 exactly."""
     z = np.where(valid, sbar / tau_t, -np.inf)
     zmax = z.max(axis=1, keepdims=True)
-    e = np.where(valid, np.exp(z - zmax), 0.0)
+    e = np.exp(z - zmax)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _head(fv, tok_stack, valid_stack, tau_t):
+    """Rank-C head of every prompt at one scale: sbar = T.fbar and the posterior
+    pi (P, L), the posterior-weighted token w = pi^T T (P, C), eam = w.F (P, Hs, Ws)."""
+    flat = fv.reshape(fv.shape[0], -1)                       # (C, Hs*Ws)
+    sbar = tok_stack @ (flat.sum(axis=1) / flat.shape[1])     # fbar, as np.mean but cheaper per call
+    pi = _masked_posteriors(sbar, valid_stack, tau_t)
+    w = (pi[:, None, :] @ tok_stack)[:, 0]
+    return sbar, pi, w, (w @ flat).reshape(-1, *fv.shape[1:])
 
 
 @dataclass
@@ -103,8 +120,9 @@ class Trace:
     tok_stack: np.ndarray    # (P, Lmax, C)
     valid_stack: np.ndarray  # (P, Lmax)
     lengths: list
-    sims: list       # per scale: (P, Hs, Ws, Lmax)
+    sbars: list      # per scale: (P, Lmax), the spatially averaged similarity
     pis: list        # per scale: (P, Lmax)
+    ws: list         # per scale: (P, C), the posterior-weighted token
     eams: list       # per scale: (P, Hs, Ws)
     dw: np.ndarray   # (P, H5, W5)
     up: np.ndarray   # (P, H3, W3)
@@ -128,14 +146,7 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     if masks.shape != (n_prompts, h3, w3):
         raise DimensionError(f"masks must be ({n_prompts}, {h3}, {w3}), got {masks.shape}")
 
-    sims, pis, eams = [], [], []
-    for fv in fvals:
-        sim = np.einsum("cxy,plc->pxyl", fv, tok_stack)      # (P, Hs, Ws, L)
-        sbar = sim.mean(axis=(1, 2))                          # (P, L)
-        pi = _masked_posteriors(sbar, valid_stack, cfg.tau_t)
-        sims.append(sim)
-        pis.append(pi)
-        eams.append(np.einsum("pxyl,pl->pxy", sim, pi))
+    sbars, pis, ws, eams = zip(*(_head(fv, tok_stack, valid_stack, cfg.tau_t) for fv in fvals))
 
     dw = fusion.fuse_down(eams[0], eams[1], eams[2])
     up = fusion.fuse_up(eams[0], eams[1], eams[2])
@@ -151,8 +162,8 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
 
     return Trace(
         fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
-        sims=sims, pis=pis, eams=eams, dw=dw, up=up, k=k, selections=selections,
-        logits=logits, positives=pos, l_sem=l_sem, gaco=g, l_geo=l_geo, total=total,
+        sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), dw=dw, up=up, k=k,
+        selections=selections, logits=logits, positives=pos, l_sem=l_sem, gaco=g, l_geo=l_geo, total=total,
     )
 
 
@@ -222,20 +233,22 @@ def backward(tr, cfg=ObjectiveConfig()):
     gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
     g_eams = [gd3 + gu3, gd4 + gu4, gd5 + gu5]
 
-    d_features = [np.zeros_like(fv) for fv in tr.fvals]
+    d_features = []
     d_tok_stack = np.zeros_like(tr.tok_stack)
-    for s in range(3):
-        fv = tr.fvals[s]
-        sim, pi, g_eam = tr.sims[s], tr.pis[s], g_eams[s]
-        n = fv.shape[1] * fv.shape[2]
-        # direct path through the expectation, plus the posterior path through
-        # the spatially averaged response; pad tokens have pi = 0 in both
-        g_sim = g_eam[:, :, :, None] * pi[:, None, None, :]
-        d_pi = np.einsum("pxy,pxyl->pl", g_eam, sim)
+    for s, fv in enumerate(tr.fvals):
+        flat = fv.reshape(fv.shape[0], -1)                          # (C, n)
+        n = flat.shape[1]
+        pi, w, g = tr.pis[s], tr.ws[s], g_eams[s].reshape(n_prompts, -1)
+        # direct path through eam = w.F, plus the posterior path through
+        # sbar = T.fbar; pad tokens have pi = d_sbar = 0 in both
+        big_g = g @ flat.T                                          # (P, C): sum_xy g.F
+        d_pi = (tr.tok_stack @ big_g[:, :, None])[:, :, 0]
         d_sbar = pi / cfg.tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
-        g_sim += d_sbar[:, None, None, :] / n
-        d_features[s] += np.einsum("pxyl,plc->cxy", g_sim, tr.tok_stack)
-        d_tok_stack += np.einsum("pxyl,cxy->plc", g_sim, fv)
+        d_fbar = np.einsum("pl,plc->c", d_sbar, tr.tok_stack)
+        d_flat = w.T @ g                                            # (C, n)
+        d_flat += d_fbar[:, None] / n                               # in place: no second (C, n) temporary
+        d_features.append(d_flat.reshape(fv.shape))
+        d_tok_stack += pi[:, :, None] * big_g[:, None, :] + d_sbar[:, :, None] * (flat.sum(axis=1) / n)
 
     d_tokens = [d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)]
     return GradientBundle(
@@ -254,11 +267,7 @@ def objective_with_gradients(features, tokens, masks, positives,
 def fused_maps(features, tokens, tau_t=1.0, token_valid=None):
     """Coarse and fine fused maps (dw, up) without touching the losses."""
     fvals, tok_stack, valid_stack, _ = coerce_inputs(features, tokens, token_valid)
-    eams = []
-    for fv in fvals:
-        sim = np.einsum("cxy,plc->pxyl", fv, tok_stack)
-        pi = _masked_posteriors(sim.mean(axis=(1, 2)), valid_stack, tau_t)
-        eams.append(np.einsum("pxyl,pl->pxy", sim, pi))
+    eams = [_head(fv, tok_stack, valid_stack, tau_t)[3] for fv in fvals]
     return fusion.fuse_down(*eams), fusion.fuse_up(*eams)
 
 
@@ -354,9 +363,8 @@ def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
 
     token_margin = np.inf
     for s in range(3):
-        sbar = tr.sims[s].mean(axis=(1, 2))
         for p in range(tr.tok_stack.shape[0]):
-            vals = np.sort(sbar[p][tr.valid_stack[p]])[::-1]
+            vals = np.sort(tr.sbars[s][p][tr.valid_stack[p]])[::-1]
             if vals.size > 1:
                 token_margin = min(token_margin, float(vals[0] - vals[1]))
     margins["token_argmax"] = token_margin

@@ -80,6 +80,21 @@ class TestConfidence:
         out = confidence(np.random.default_rng(2).normal(size=100) * 5)
         assert ((out > 0) & (out < 1)).all()
 
+    def test_bitwise_equal_to_two_branch_formula(self):
+        rng = np.random.default_rng(3)
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, 1e-300, -1e-300])
+        shapes = ((12, 64, 64), (4, 24, 24), (2, 8, 8), (1, 4, 4))
+        for m in [edges] + [rng.normal(size=shape) * 8 for shape in shapes]:
+            # oracle: 1 / (1 + e^-m) on m >= 0 and e^m / (1 + e^m) below
+            ref = np.empty_like(m)
+            pos = m >= 0
+            ref[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+            em = np.exp(m[~pos])
+            ref[~pos] = em / (1.0 + em)
+            out = confidence(m)
+            assert out.shape == m.shape
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
 
 class TestRegionStats:
     def test_constant_region(self):

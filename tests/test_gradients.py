@@ -73,6 +73,18 @@ class TestObjective:
         with pytest.raises(DomainError):
             objective(features, toks, masks, [], token_valid=valid)
 
+    def test_nan_feature_rejected(self):
+        features, toks, valid, masks = small_problem(4)
+        features[1][0, 1, 0] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            objective(features, toks, masks, [0], token_valid=valid)
+
+    def test_inf_token_rejected(self):
+        features, toks, valid, masks = small_problem(5)
+        toks[1][2, 0] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            objective(features, toks, masks, [0], token_valid=valid)
+
 
 class TestFiniteDifferences:
     def test_quadratic(self):

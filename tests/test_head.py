@@ -1,0 +1,122 @@
+"""Differential tests of the rank-C alignment head in `expalign.gradients`.
+
+The forward maps are checked against the per-prompt tensor-form head in
+`expalign.eah`, and the backward pass against the dense reverse pass over the
+(P, H, W, L) similarity tensor, kept here as the reference.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from expalign import fusion
+from expalign.eah import TokenBatch, alignment_map, token_similarity
+from expalign.gradients import ObjectiveConfig, backward, forward, fused_maps
+
+TAU_EXTREMES = (1e-6, 1.0, 1e6)
+
+
+def dense_backward(tr, cfg):
+    """The reverse pass over the full similarity tensor: (d_features, d_tokens)."""
+    n_prompts = tr.tok_stack.shape[0]
+
+    # contrastive head -> coarse fused map
+    g_dw = np.zeros_like(tr.dw)
+    if cfg.lambda_sem != 0.0:
+        z = tr.logits / cfg.tau
+        z = z - z.max()
+        q = np.exp(z)
+        q /= q.sum()
+        y = np.zeros(n_prompts)
+        y[list(tr.positives)] = 1.0
+        d_logit = (q - y / len(tr.positives)) / cfg.tau
+        flat = g_dw.reshape(n_prompts, -1)
+        for p in range(n_prompts):
+            flat[p, tr.selections[p]] = d_logit[p] / tr.k
+        g_dw *= cfg.lambda_sem
+
+    # geometry head -> fine fused map
+    g_up = np.zeros_like(tr.up)
+    res = tr.gaco
+    if cfg.lambda_geo != 0.0 and res.denom > 0:
+        g_z = -(res.adv * res.masks - res.adv_sum * res.probs) / res.denom
+        g_z *= cfg.lambda_geo * cfg.gaco.beta
+        if cfg.gaco.normalize:
+            d = res.norm_denominator
+            g_up = g_z / d
+            a_star = int(np.argmax(np.abs(tr.up)))
+            sign = 1.0 if tr.up.ravel()[a_star] >= 0 else -1.0
+            g_up.ravel()[a_star] -= sign / d**2 * float((g_z * tr.up).sum())
+        else:
+            g_up = g_z
+
+    gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
+    gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
+    g_eams = [gd3 + gu3, gd4 + gu4, gd5 + gu5]
+
+    d_features = [np.zeros_like(fv) for fv in tr.fvals]
+    d_tok_stack = np.zeros_like(tr.tok_stack)
+    for s, fv in enumerate(tr.fvals):
+        sim = np.einsum("cxy,plc->pxyl", fv, tr.tok_stack)      # (P, Hs, Ws, L)
+        pi, g_eam = tr.pis[s], g_eams[s]
+        n = fv.shape[1] * fv.shape[2]
+        # direct path through the expectation, plus the posterior path through
+        # the spatially averaged response; pad tokens have pi = 0 in both
+        g_sim = g_eam[:, :, :, None] * pi[:, None, None, :]
+        d_pi = np.einsum("pxy,pxyl->pl", g_eam, sim)
+        d_sbar = pi / cfg.tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
+        g_sim += d_sbar[:, None, None, :] / n
+        d_features[s] += np.einsum("pxyl,plc->cxy", g_sim, tr.tok_stack)
+        d_tok_stack += np.einsum("pxyl,cxy->plc", g_sim, fv)
+    return d_features, [d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)]
+
+
+def ragged_problem(seed, lengths, channels, h3):
+    """Prompts with the given token counts; some tokens are pads (valid False)."""
+    rng = np.random.default_rng(seed)
+    features = [rng.normal(size=(channels, h3 // f, h3 // f)) for f in (1, 2, 4)]
+    toks = [rng.normal(size=(l, channels)) * 0.6 for l in lengths]
+    valid = []
+    for l in lengths:
+        v = rng.random(l) < 0.6
+        v[rng.integers(l)] = True
+        valid.append(v)
+    masks = rng.random((len(lengths), h3, h3)) < 0.4
+    positives = sorted(set(rng.integers(len(lengths), size=2).tolist()))
+    return features, toks, valid, masks, positives
+
+
+@given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       channels=st.integers(1, 5), h3=st.sampled_from([4, 8]), tau_t=st.sampled_from(TAU_EXTREMES))
+@example(seed=0, lengths=[1], channels=1, h3=4, tau_t=1e-6)
+@example(seed=1, lengths=[1, 1], channels=3, h3=4, tau_t=1e6)
+@example(seed=2, lengths=[4, 1, 2], channels=2, h3=4, tau_t=1.0)
+@settings(max_examples=40, deadline=None)
+def test_rank_c_head_matches_tensor_form(seed, lengths, channels, h3, tau_t):
+    features, toks, valid, masks, positives = ragged_problem(seed, lengths, channels, h3)
+    cfg = ObjectiveConfig(tau_t=tau_t)
+    tr = forward(features, toks, masks, positives, cfg, valid)
+
+    for s, fv in enumerate(features):
+        for p, (t, v) in enumerate(zip(toks, valid)):
+            ref = alignment_map(fv, TokenBatch(t, v), tau_t)
+            assert np.abs(tr.eams[s][p] - ref).max() <= 1e-12
+            sbar = token_similarity(fv, t).mean(axis=(0, 1))
+            assert np.abs(tr.sbars[s][p, :len(t)] - sbar).max() <= 1e-12
+
+    bundle = backward(tr, cfg)
+    ref_features, ref_tokens = dense_backward(tr, cfg)
+    scale = max(np.abs(r).max() for r in ref_features + ref_tokens)
+    for got, ref in zip(bundle.d_features + bundle.d_tokens, ref_features + ref_tokens):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+    for d_tok, v in zip(bundle.d_tokens, valid):
+        assert np.all(d_tok[~v] == 0.0)
+
+
+def test_fused_maps_is_the_fusion_of_the_forward_maps():
+    features, toks, valid, masks, positives = ragged_problem(7, [3, 1, 2], 4, 8)
+    tr = forward(features, toks, masks, positives, ObjectiveConfig(tau_t=0.5), valid)
+    dw, up = fused_maps(features, toks, tau_t=0.5, token_valid=valid)
+    np.testing.assert_array_equal(dw, fusion.fuse_down(*tr.eams))
+    np.testing.assert_array_equal(up, fusion.fuse_up(*tr.eams))
