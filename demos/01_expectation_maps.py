@@ -32,7 +32,7 @@ print("similarity tensor:", sim.shape, "(H, W, L)")
 print("spatial mean response per token:", np.round(sim.mean(axis=(0, 1)), 3))
 
 pi = token_posterior(sim, valid, tau_t=1.0)
-print("token posterior:", np.round(pi.weights, 4), "(pad token is exactly 0)")
+print("token posterior:", np.round(pi, 4), "(pad token is exactly 0)")
 
 eam = expectation_map(sim, pi)
 print("\nexpectation alignment map (rounded):")
@@ -42,5 +42,5 @@ print("\nstrongest cell:", np.unravel_index(np.argmax(eam), eam.shape),
 
 # the temperature interpolates between mean pooling and argmax-token selection
 for tau_t in (1e6, 1.0, 1e-6):
-    w = token_posterior(sim, valid, tau_t=tau_t).weights
+    w = token_posterior(sim, valid, tau_t=tau_t)
     print(f"tau_t={tau_t:>8.0e}  posterior={np.round(w, 3)}")

@@ -41,4 +41,4 @@ print("\nlogit after shuffling instances:",
       abs(bag_logit(scores[perm], 4) - bag_logit(scores, 4)))
 pi_shuffled = token_posterior(bag[perm].reshape(4, 4, 5), valid)
 print("posterior change under instance shuffle:",
-      np.abs(pi_shuffled.weights - pi.weights).max())
+      np.abs(pi_shuffled - pi).max())

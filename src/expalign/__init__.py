@@ -1,29 +1,10 @@
-"""Expectation alignment maps, multi-scale consistency losses, and their verification suite."""
+"""Expectation alignment maps, multi-scale consistency losses, and their verification suite.
 
-from .eah import FeatureMap, TokenBatch, TokenPosterior, alignment_map, expectation_map, token_posterior, token_similarity
+The top level exports the quick-start names only; everything else is imported
+from its submodule (expalign.eah, expalign.gaco, expalign.synth, ...).
+"""
+
 from .errors import DimensionError, DomainError, SceneFormatError
-from .fusion import downsample2x, fuse_down, fuse_up, upsample2x
-from .gaco import GacoConfig, advantage, confidence, gaco_batch_loss, gaco_forward, gaco_loss, joint_softmax, normalize_sim, region_stats
-from .gradients import (
-    GradientBundle,
-    ObjectiveConfig,
-    finite_difference_gradient,
-    fused_maps,
-    objective,
-    objective_fd_gradients,
-    objective_with_gradients,
-)
-from .mil import bag_logit, instance_vectors, mil_score
-from .semantic import infonce_multi_positive, pooled_logit, pooled_logits, topk_budget, topk_select
-from .synth import DemoReport, SceneSpec, demo_train, generate_scene, localization_accuracy
-from .variational import (
-    GibbsProblem,
-    MirrorDescentResult,
-    free_energy,
-    gibbs_closed_form,
-    kl_divergence,
-    minimize_free_energy_numeric,
-    random_simplex,
-)
+from .gradients import ObjectiveConfig, objective, objective_with_gradients
 
 __version__ = "0.1.0"

@@ -215,8 +215,7 @@ def cmd_loss(args):
 
 def _suite_command(args, groups, command):
     settings = resolve_settings(args)
-    results = verify.run_suite(groups=groups, seed=settings["seed"],
-                               fault=getattr(args, "fault", None), threads=verify.thread_cap())
+    results = verify.run_suite(groups=groups, seed=settings["seed"], fault=getattr(args, "fault", None))
     all_passed = all(r.passed for r in results)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -255,27 +254,22 @@ def cmd_gradcheck(args):
 def cmd_demo(args):
     settings = resolve_settings(args)
     cfg = objective_config(settings)
-    seeds = settings["seeds"]
-    runs = []
-    for seed in seeds:
-        spec = SceneSpec(seed=seed, signal=settings["signal"])
-        runs.append(synth.demo_train(spec, steps=settings["steps"],
-                                     learning_rate=settings["lr"], cfg=cfg))
+    bench = synth.run_benchmark(settings["seeds"], settings["steps"], settings["lr"],
+                                settings["signal"], cfg)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": "demo",
         "config": config_echo(settings),
-        "seeds": list(seeds),
-        "mean_initial_accuracy": float(np.mean([r.initial_accuracy for r in runs])),
-        "mean_final_accuracy": float(np.mean([r.final_accuracy for r in runs])),
-        "runs": [r.to_dict() for r in runs],
+        "seeds": bench["seeds"],
+        "mean_initial_accuracy": bench["mean_initial_accuracy"],
+        "mean_final_accuracy": bench["mean_final_accuracy"],
+        "runs": [r.to_dict() for r in bench["runs"]],
     }
     if args.heatmap:
         # trained fine maps of the first seed's scene
-        spec = SceneSpec(seed=seeds[0], signal=settings["signal"])
-        scene = synth.generate_scene(spec)
+        scene = synth.generate_scene(synth.benchmark_spec(bench["seeds"][0], settings["signal"]))
         report["heatmaps"] = _export_scene_heatmaps(scene, cfg, args.heatmap_dir,
-                                                    token_delta=runs[0].final_delta)
+                                                    token_delta=bench["runs"][0].final_delta)
     emit(report, args)
     return EXIT_OK
 

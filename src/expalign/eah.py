@@ -78,18 +78,6 @@ class TokenBatch:
         return self.embeddings.shape[1]
 
 
-@dataclass(frozen=True)
-class TokenPosterior:
-    """Simplex weights over tokens; pad tokens carry exactly zero weight."""
-
-    weights: np.ndarray
-    temperature: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-
-
 def token_similarity(fmap, tokens):
     """Inner products of every feature column with every token, shaped (H, W, L).
 
@@ -112,6 +100,7 @@ def token_posterior(sim, valid, tau_t=1.0):
 
     The spatial mean runs over all locations. Invalid tokens are excluded from
     the softmax by masking before exponentiation, so their weight is exactly 0.
+    Returns the (L,) weight vector on the simplex.
     """
     if tau_t <= 0:
         raise DomainError(f"token temperature must be positive, got {tau_t}")
@@ -127,12 +116,12 @@ def token_posterior(sim, valid, tau_t=1.0):
     expv = np.exp(shifted)
     weights = np.zeros_like(sbar)
     weights[valid] = expv / expv.sum()
-    return TokenPosterior(weights=weights, temperature=float(tau_t))
+    return weights
 
 
 def expectation_map(sim, posterior):
     """Marginalize token maps under the posterior: sum_l pi(l) * sim[:, :, l]."""
-    weights = posterior.weights if isinstance(posterior, TokenPosterior) else np.asarray(posterior, dtype=np.float64)
+    weights = np.asarray(posterior, dtype=np.float64)
     sim = np.asarray(sim, dtype=np.float64)
     if sim.shape[-1] != weights.shape[0]:
         raise DimensionError(f"token count mismatch: sim has L={sim.shape[-1]}, posterior has L={weights.shape[0]}")

@@ -24,8 +24,6 @@ class GacoConfig:
     clip: advantage clip bound c > 0.
     eps: stabilizer used by both the sim normalization and the region std.
     normalize: divide the map by (max |value| + eps) before softmax and sigmoid.
-    beta: overall weight applied inside the module (kept at 1; the objective
-        aggregator owns the external geometry weight).
     std_mode: "population" puts eps inside the square root over the population
         variance; "std_plus_eps" adds eps outside the population std instead.
     """
@@ -33,7 +31,6 @@ class GacoConfig:
     clip: float = 3.0
     eps: float = 1e-6
     normalize: bool = True
-    beta: float = 1.0
     std_mode: str = "population"
 
     def __post_init__(self):
@@ -41,8 +38,6 @@ class GacoConfig:
             raise DomainError(f"clip bound must be positive and finite, got {self.clip}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise DomainError(f"eps must be positive and finite, got {self.eps}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be nonnegative, got {self.beta}")
         if self.std_mode not in STD_MODES:
             raise DomainError(f"std_mode must be one of {STD_MODES}, got {self.std_mode!r}")
 
@@ -104,43 +99,6 @@ def advantage(r, mu, sigma, clip=3.0):
     return np.clip((r - mu) / sigma, -clip, clip)
 
 
-def gaco_loss(pair_probs, adv, masks):
-    """Advantage-weighted NLL over masked locations of the joint distribution.
-
-    Returns 0 when no location is masked anywhere (degenerate batch guard).
-    """
-    pair_probs = np.asarray(pair_probs, dtype=np.float64)
-    adv = np.asarray(adv, dtype=np.float64)
-    masks = np.asarray(masks, dtype=bool)
-    if pair_probs.shape != masks.shape or adv.shape != masks.shape:
-        raise DimensionError(
-            f"shape mismatch: probs {pair_probs.shape}, advantage {adv.shape}, masks {masks.shape}"
-        )
-    denom = int(masks.sum())
-    if denom == 0:
-        return 0.0
-    logp = np.log(np.maximum(pair_probs[masks], 1e-300))
-    return float(-(adv[masks] * logp).sum() / denom)
-
-
-def gaco_batch_loss(up_maps, masks_list, cfg=None):
-    """Batch form of the loss: one global masked-cell denominator across images.
-
-    Each image keeps its own joint softmax; the per-image numerators are summed
-    and divided by the total masked count, so the result equals the
-    count-weighted average of the per-image losses. Returns 0 for an all-empty
-    batch.
-    """
-    cfg = cfg or GacoConfig()
-    numerator = 0.0
-    denom = 0
-    for up_map, masks in zip(up_maps, masks_list):
-        res = gaco_forward(up_map, masks, cfg)
-        numerator += res.loss * res.denom
-        denom += res.denom
-    return numerator / denom if denom > 0 else 0.0
-
-
 @dataclass(frozen=True)
 class GacoResult:
     """Intermediates of the full chain, kept for gradients and diagnostics."""
@@ -149,7 +107,7 @@ class GacoResult:
     z: np.ndarray            # map after optional normalization, (P, H, W)
     log_probs: np.ndarray    # log joint softmax of z
     probs: np.ndarray
-    conf: np.ndarray         # sigmoid(z)
+    conf: np.ndarray         # sigmoid(z); None when the advantage is frozen
     adv: np.ndarray          # clipped advantage, zero outside masks
     masks: np.ndarray        # boolean (P, H, W)
     denom: int               # total masked cell count
@@ -178,13 +136,14 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     log_probs = log_joint_softmax(z)
     probs = np.exp(log_probs)
-    conf = confidence(z)
 
     stats = []
     if frozen_adv is not None:
         adv = np.asarray(frozen_adv, dtype=np.float64)
+        conf = None
         stats = [None] * up_map.shape[0]
     else:
+        conf = confidence(z)
         adv = np.zeros_like(up_map)
         for p in range(up_map.shape[0]):
             region = masks[p]
@@ -197,7 +156,7 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     denom = int(masks.sum())
     if denom > 0:
-        loss = cfg.beta * float(-(adv[masks] * log_probs[masks]).sum() / denom)
+        loss = float(-(adv[masks] * log_probs[masks]).sum() / denom)
         adv_sum = float(adv[masks].sum())
     else:
         loss = 0.0

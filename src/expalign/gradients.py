@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fusion, semantic
-from .eah import FeatureMap, TokenBatch
 from .errors import DimensionError, DomainError
 from .gaco import GacoConfig, GacoResult, gaco_forward
 
@@ -48,27 +47,25 @@ class ObjectiveConfig:
 
 
 def coerce_inputs(features, tokens, token_valid=None):
-    """Accept FeatureMap/TokenBatch objects or raw arrays; return padded stacks.
+    """Validate raw arrays and return padded stacks.
 
+    features are three (C, Hs, Ws) arrays, tokens one (L, C) array per prompt,
+    token_valid an optional (L,) boolean mask per prompt (None = all valid).
     Returns (fvals, tok_stack, valid_stack, lengths): three (C, Hs, Ws) arrays
     for scales 3/4/5, a (P, Lmax, C) embedding stack, a (P, Lmax) validity
     stack (False rows mark padding), and the original per-prompt token counts.
     """
     if len(features) != 3:
         raise DimensionError(f"expected 3 feature maps (scales 3, 4, 5), got {len(features)}")
-    fvals = [f.values if isinstance(f, FeatureMap) else np.asarray(f, dtype=np.float64) for f in features]
-    if not all(np.isfinite(fv).all() for f, fv in zip(features, fvals) if not isinstance(f, FeatureMap)):
+    fvals = [np.asarray(f, dtype=np.float64) for f in features]
+    if not all(np.isfinite(fv).all() for fv in fvals):
         raise DomainError("feature values must be finite")
     tvals, valids = [], []
     for p, t in enumerate(tokens):
-        if isinstance(t, TokenBatch):
-            tvals.append(t.embeddings)
-            valids.append(t.valid)
-        else:
-            arr = np.asarray(t, dtype=np.float64)
-            tvals.append(arr)
-            v = None if token_valid is None else token_valid[p]
-            valids.append(np.ones(arr.shape[0], dtype=bool) if v is None else np.asarray(v, dtype=bool))
+        arr = np.asarray(t, dtype=np.float64)
+        tvals.append(arr)
+        v = None if token_valid is None else token_valid[p]
+        valids.append(np.ones(arr.shape[0], dtype=bool) if v is None else np.asarray(v, dtype=bool))
     c = fvals[0].shape[0]
     for fv in fvals:
         if fv.ndim != 3 or fv.shape[0] != c:
@@ -219,7 +216,7 @@ def backward(tr, cfg=ObjectiveConfig()):
     res = tr.gaco
     if cfg.lambda_geo != 0.0 and res.denom > 0:
         g_z = -(res.adv * res.masks - res.adv_sum * res.probs) / res.denom
-        g_z *= cfg.lambda_geo * cfg.gaco.beta
+        g_z *= cfg.lambda_geo
         if cfg.gaco.normalize:
             d = res.norm_denominator
             g_up = g_z / d

@@ -8,7 +8,6 @@ over instance scores. k=1 recovers max pooling, k=N mean pooling.
 
 import numpy as np
 
-from .eah import TokenPosterior
 from .errors import DimensionError
 from .semantic import topk_select
 
@@ -23,7 +22,7 @@ def instance_vectors(sim):
 
 def mil_score(instances, posterior):
     """Per-instance inner product with the token posterior."""
-    weights = posterior.weights if isinstance(posterior, TokenPosterior) else np.asarray(posterior, dtype=np.float64)
+    weights = np.asarray(posterior, dtype=np.float64)
     instances = np.asarray(instances, dtype=np.float64)
     if instances.shape[1] != weights.shape[0]:
         raise DimensionError(

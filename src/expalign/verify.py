@@ -10,8 +10,6 @@ checks can actually fail.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +116,8 @@ def _eah_norm(rng, fault):
     sim = rng.normal(size=(5, 7, 6))
     valid = np.array([True, False, True, True, False, True])
     pi = eah.token_posterior(sim, valid, tau_t=0.7)
-    residual = abs(float(pi.weights.sum()) - 1.0)
-    residual = max(residual, float(np.abs(pi.weights[~valid]).max()))
+    residual = abs(float(pi.sum()) - 1.0)
+    residual = max(residual, float(np.abs(pi[~valid]).max()))
     return residual, "weights sum to 1; pad weights exactly 0"
 
 
@@ -129,7 +127,7 @@ def _eah_limits(rng, fault):
     valid = np.array([True, True, True, True, False])
     hot = eah.token_posterior(sim, valid, tau_t=1e6)
     uniform = valid / valid.sum()
-    r = float(np.abs(hot.weights - uniform).max())
+    r = float(np.abs(hot - uniform).max())
     eam_hot = eah.expectation_map(sim, hot)
     r = max(r, float(np.abs(eam_hot - sim[:, :, valid].mean(axis=2)).max()))
     cold = eah.token_posterior(sim, valid, tau_t=1e-6)
@@ -137,7 +135,7 @@ def _eah_limits(rng, fault):
     best = int(np.argmax(np.where(valid, sbar, -np.inf)))
     onehot = np.zeros(5)
     onehot[best] = 1.0
-    r = max(r, float(np.abs(cold.weights - onehot).max()))
+    r = max(r, float(np.abs(cold - onehot).max()))
     r = max(r, float(np.abs(eah.expectation_map(sim, cold) - sim[:, :, best]).max()))
     return r, "tau -> inf gives the token mean, tau -> 0 the argmax token map"
 
@@ -455,7 +453,7 @@ def _mil_set(rng, fault):
     perm = rng.permutation(flat.shape[0])
     shuffled = flat[perm].reshape(5, 4, 6)
     pi2 = eah.token_posterior(shuffled, valid)
-    return float(np.abs(pi.weights - pi2.weights).max()), "posterior depends on the instance set only"
+    return float(np.abs(pi - pi2).max()), "posterior depends on the instance set only"
 
 
 # ------------------------------------------------------------------ grad
@@ -539,35 +537,16 @@ def _grad_pads(rng, fault):
     return worst, "pad-token rows receive exactly zero gradient"
 
 
-def thread_cap():
-    """Suite parallelism from EXPALIGN_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("EXPALIGN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
-def run_suite(groups=None, seed=0, fault=None, threads=None):
+def run_suite(groups=None, seed=0, fault=None):
     """Run the registered checks; results are ordered by registry index."""
     if fault is not None and fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {KNOWN_FAULTS}")
-    selected = [(i, name, group, tol, fn) for i, (name, group, tol, fn) in enumerate(_CHECKS)
-                if groups is None or group in groups]
-
-    def run_one(item):
-        i, name, group, tol, fn = item
+    results = []
+    for i, (name, group, tol, fn) in enumerate(_CHECKS):
+        if groups is not None and group not in groups:
+            continue
         rng = np.random.default_rng([seed, i])
         residual, detail = fn(rng, fault)
-        passed = residual <= tol
-        return CheckResult(name=name, group=group, passed=bool(passed),
-                           residual=float(residual), tolerance=float(tol), detail=detail)
-
-    threads = threads if threads is not None else thread_cap()
-    if threads <= 1 or len(selected) <= 1:
-        return [run_one(item) for item in selected]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, selected))
+        results.append(CheckResult(name=name, group=group, passed=bool(residual <= tol),
+                                   residual=float(residual), tolerance=float(tol), detail=detail))
+    return results

@@ -168,11 +168,11 @@ def test_criterion_5_exact_identities():
             if not valid.any():
                 valid[0] = True
             hot = token_posterior(sim, valid, tau_t=1e6)
-            assert np.abs(hot.weights - valid / valid.sum()).max() <= 1e-5
+            assert np.abs(hot - valid / valid.sum()).max() <= 1e-5
             assert np.abs(expectation_map(sim, hot) - sim[:, :, valid].mean(axis=2)).max() <= 1e-5
             cold = token_posterior(sim, valid, tau_t=1e-6)
             best = int(np.argmax(np.where(valid, sim.mean(axis=(0, 1)), -np.inf)))
-            assert abs(cold.weights[best] - 1.0) <= 1e-5
+            assert abs(cold[best] - 1.0) <= 1e-5
             assert np.abs(expectation_map(sim, cold) - sim[:, :, best]).max() <= 1e-5
 
 

@@ -62,27 +62,27 @@ class TestTokenPosterior:
     def test_single_valid_token(self):
         sim = np.random.default_rng(0).normal(size=(3, 3, 1))
         pi = token_posterior(sim, np.array([True]))
-        np.testing.assert_array_equal(pi.weights, [1.0])
+        np.testing.assert_array_equal(pi, [1.0])
 
     def test_uniform_for_equal_means(self):
         sim = np.zeros((2, 2, 4))
         pi = token_posterior(sim, np.ones(4, dtype=bool))
-        np.testing.assert_allclose(pi.weights, 0.25, atol=1e-15)
+        np.testing.assert_allclose(pi, 0.25, atol=1e-15)
 
     def test_direct_evaluation(self):
         # spatial means ln 2 and 0 at tau 1 give weights 2/3, 1/3
         sim = np.zeros((1, 1, 2))
         sim[0, 0] = [math.log(2.0), 0.0]
         pi = token_posterior(sim, np.ones(2, dtype=bool), tau_t=1.0)
-        np.testing.assert_allclose(pi.weights, [2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(pi, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_invalid_tokens_get_exact_zero(self):
         rng = np.random.default_rng(1)
         sim = rng.normal(size=(4, 4, 5))
         valid = np.array([True, False, True, False, True])
         pi = token_posterior(sim, valid)
-        assert (pi.weights[~valid] == 0.0).all()
-        assert abs(pi.weights.sum() - 1.0) <= 1e-12
+        assert (pi[~valid] == 0.0).all()
+        assert abs(pi.sum() - 1.0) <= 1e-12
 
     def test_all_invalid_rejected(self):
         with pytest.raises(DomainError):
@@ -131,7 +131,7 @@ class TestHeadProperties:
         valid = np.array([True] * 4 + [False] * 2)
         pi = token_posterior(sim, valid, tau_t=1e6)
         uniform = valid / valid.sum()
-        assert np.abs(pi.weights - uniform).max() <= 1e-5
+        assert np.abs(pi - uniform).max() <= 1e-5
         eam = expectation_map(sim, pi)
         assert np.abs(eam - sim[:, :, valid].mean(axis=2)).max() <= 1e-5
 
@@ -143,7 +143,7 @@ class TestHeadProperties:
         best = int(np.argmax(sim.mean(axis=(0, 1))))
         onehot = np.zeros(5)
         onehot[best] = 1.0
-        assert np.abs(pi.weights - onehot).max() <= 1e-5
+        assert np.abs(pi - onehot).max() <= 1e-5
         assert np.abs(expectation_map(sim, pi) - sim[:, :, best]).max() <= 1e-5
 
     @given(st.floats(min_value=-3, max_value=3, allow_nan=False), st.integers(0, 2**32 - 1))

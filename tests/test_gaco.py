@@ -8,9 +8,7 @@ from expalign.gaco import (
     GacoConfig,
     advantage,
     confidence,
-    gaco_batch_loss,
     gaco_forward,
-    gaco_loss,
     joint_softmax,
     normalize_sim,
     region_stats,
@@ -135,15 +133,6 @@ class TestAdvantage:
 
 
 class TestGacoLoss:
-    def test_zero_advantage_gives_zero(self):
-        probs = joint_softmax(np.random.default_rng(3).normal(size=(2, 3, 3)))
-        masks = np.ones((2, 3, 3), bool)
-        assert gaco_loss(probs, np.zeros((2, 3, 3)), masks) == 0.0
-
-    def test_empty_masks_give_zero(self):
-        probs = joint_softmax(np.random.default_rng(4).normal(size=(2, 3, 3)))
-        assert gaco_loss(probs, np.ones((2, 3, 3)), np.zeros((2, 3, 3), bool)) == 0.0
-
     def test_worked_chain(self):
         m = np.array([[[0.0, math.log(3.0)]]])
         masks = np.ones((1, 1, 2), bool)
@@ -153,34 +142,17 @@ class TestGacoLoss:
         np.testing.assert_allclose(res.conf, [[[0.5, 0.75]]], atol=1e-12)
         np.testing.assert_allclose(res.adv, [[[-1.0, 1.0]]], atol=1e-5)
 
-    def test_loss_composes_from_pieces(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(2, 4, 4))
-        masks = rng.random(size=(2, 4, 4)) < 0.5
-        cfg = GacoConfig(normalize=False)
-        res = gaco_forward(m, masks, cfg)
-        assert abs(gaco_loss(res.probs, res.adv, masks) - res.loss) <= 1e-12
-
-    def test_batch_loss_uses_one_global_denominator(self):
-        rng = np.random.default_rng(6)
-        cfg = GacoConfig(normalize=False)
-        maps = [rng.normal(size=(2, 4, 4)) for _ in range(3)]
-        masks = [rng.random(size=(2, 4, 4)) < 0.5 for _ in range(2)]
-        masks.append(np.zeros((2, 4, 4), dtype=bool))  # one all-empty image
-        # oracle: explicit double sum over images and masked cells
-        numerator, denom = 0.0, 0
-        for m, mk in zip(maps, masks):
-            res = gaco_forward(m, mk, cfg)
-            if res.denom:
-                numerator += -(res.adv[mk] * res.log_probs[mk]).sum()
-                denom += res.denom
-        expected = numerator / denom
-        assert abs(gaco_batch_loss(maps, masks, cfg) - expected) <= 1e-12
-
-    def test_batch_loss_empty_batch_is_zero(self):
-        maps = [np.zeros((1, 2, 2))]
-        masks = [np.zeros((1, 2, 2), dtype=bool)]
-        assert gaco_batch_loss(maps, masks) == 0.0
+    def test_frozen_advantage_skips_confidence(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(3, 6, 6)) * 3
+        masks = rng.random(size=(3, 6, 6)) < 0.5
+        masks[2] = False
+        free = gaco_forward(m, masks, GacoConfig())
+        frozen = gaco_forward(m, masks, GacoConfig(), frozen_adv=free.adv)
+        assert frozen.conf is None
+        for got, ref in ((frozen.loss, free.loss), (frozen.probs, free.probs),
+                         (frozen.log_probs, free.log_probs)):
+            assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
 
 
 class TestChainProperties:

@@ -16,6 +16,7 @@ from expalign.gradients import (
     objective_with_gradients,
     relative_gradient_error,
 )
+from expalign.synth import SceneSpec, generate_scene
 from expalign.verify import find_gradcheck_cases, run_gradcheck_case
 
 
@@ -84,6 +85,17 @@ class TestObjective:
         toks[1][2, 0] = np.inf
         with pytest.raises(DomainError, match="finite"):
             objective(features, toks, masks, [0], token_valid=valid)
+
+    def test_domain_objects_rejected(self):
+        # the entry points take raw arrays; FeatureMap and TokenBatch fail loudly
+        scene = generate_scene(SceneSpec(seed=1))
+        fvals = [f.values for f in scene.features]
+        tvals = [t.embeddings for t in scene.tokens]
+        valids = [t.valid for t in scene.tokens]
+        with pytest.raises(TypeError):
+            objective(scene.features, tvals, scene.masks, scene.positives, token_valid=valids)
+        with pytest.raises(TypeError):
+            objective(fvals, scene.tokens, scene.masks, scene.positives)
 
 
 class TestFiniteDifferences:

@@ -40,7 +40,7 @@ def dense_backward(tr, cfg):
     res = tr.gaco
     if cfg.lambda_geo != 0.0 and res.denom > 0:
         g_z = -(res.adv * res.masks - res.adv_sum * res.probs) / res.denom
-        g_z *= cfg.lambda_geo * cfg.gaco.beta
+        g_z *= cfg.lambda_geo
         if cfg.gaco.normalize:
             d = res.norm_denominator
             g_up = g_z / d

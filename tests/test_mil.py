@@ -77,7 +77,7 @@ class TestBagLogit:
         rng = np.random.default_rng(7)
         sim = rng.normal(size=(4, 5, 6))
         valid = np.ones(6, dtype=bool)
-        base = token_posterior(sim, valid).weights
+        base = token_posterior(sim, valid)
         flat = sim.reshape(-1, 6)
         shuffled = flat[rng.permutation(20)].reshape(4, 5, 6)
-        assert np.abs(token_posterior(shuffled, valid).weights - base).max() <= 1e-12
+        assert np.abs(token_posterior(shuffled, valid) - base).max() <= 1e-12
