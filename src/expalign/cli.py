@@ -10,13 +10,14 @@ is given, and exit nonzero when any requested check fails.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, sceneio, synth, verify
 from .errors import DimensionError, DomainError, SceneFormatError
 from .gaco import GacoConfig
-from .gradients import ObjectiveConfig, forward, fused_maps
+from .gradients import ObjectiveConfig, objective
 from .heatmap import export_heatmaps
 from .synth import RNG_NAME, SceneSpec
 
@@ -26,9 +27,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-CONFIG_KEYS = ("tau_t", "tau", "lambda_sem", "lambda_geo", "clip", "eps",
-               "k_ratio", "normalize_sim", "std_mode", "seed", "seeds",
-               "steps", "lr", "signal")
+# every config key and the type its value must have; float keys also take
+# JSON integers, and no key but normalize_sim takes a bool
+CONFIG_TYPES = {"tau_t": float, "tau": float, "lambda_sem": float, "lambda_geo": float,
+                "clip": float, "eps": float, "k_ratio": float, "normalize_sim": bool,
+                "std_mode": str, "seed": int, "seeds": list, "steps": int, "lr": float,
+                "signal": float}
 
 
 def _parse_seeds(text):
@@ -46,7 +50,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"expalign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, help_text, **defaults):
+        """A subcommand with the common flags; defaults name its handler as run."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**defaults)
         p.add_argument("--config", metavar="PATH", help="JSON file with hyperparameter defaults")
         p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
         p.add_argument("--json", action="store_true", help="machine-readable JSON to stdout")
@@ -64,23 +71,21 @@ def build_parser():
         hp.add_argument("--no-normalize-sim", dest="normalize_sim", action="store_false",
                         help="use the raw fine map in the geometry chain")
         hp.add_argument("--std-mode", dest="std_mode", choices=("population", "std_plus_eps"), default=None)
+        return p
 
-    p_loss = sub.add_parser("loss", help="evaluate the losses on a scene file or a synthetic scene")
-    add_common(p_loss)
+    p_loss = add_command("loss", "evaluate the losses on a scene file or a synthetic scene", run=cmd_loss)
     p_loss.add_argument("--scene", metavar="PATH", help="scene JSON (default: synthetic from --seed)")
     p_loss.add_argument("--signal", type=float, default=None, help="synthetic signal strength")
 
-    for name, help_text in (("verify", "run every property suite"),
-                            ("gibbs", "closed-form vs numeric free-energy minimization"),
-                            ("mil", "instance-pooling equivalence checks"),
-                            ("gradcheck", "analytic vs finite-difference gradients")):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
+    for name, groups, help_text in (("verify", None, "run every property suite"),
+                                    ("gibbs", ("gibbs",), "closed-form vs numeric free-energy minimization"),
+                                    ("mil", ("mil",), "instance-pooling equivalence checks"),
+                                    ("gradcheck", ("grad",), "analytic vs finite-difference gradients")):
+        p = add_command(name, help_text, run=cmd_suite, groups=groups)
         p.add_argument("--inject-fault", dest="fault", choices=verify.KNOWN_FAULTS, default=None,
                        help="mutation sanity check: corrupt the suite's geometry-loss evaluator")
 
-    p_demo = sub.add_parser("demo", help="train the synthetic benchmark and report accuracies")
-    add_common(p_demo)
+    p_demo = add_command("demo", "train the synthetic benchmark and report accuracies", run=cmd_demo)
     p_demo.add_argument("--seeds", type=_parse_seeds, default=None,
                         help="comma-separated scene seeds (default: the frozen benchmark set)")
     p_demo.add_argument("--steps", type=int, default=None)
@@ -89,8 +94,7 @@ def build_parser():
     p_demo.add_argument("--heatmap", action="store_true", help="export fine-map heatmaps after training")
     p_demo.add_argument("--heatmap-dir", default="heatmaps", metavar="DIR")
 
-    p_heat = sub.add_parser("heatmap", help="export per-prompt fine fused maps as PGM files")
-    add_common(p_heat)
+    p_heat = add_command("heatmap", "export per-prompt fine fused maps as PGM files", run=cmd_heatmap)
     p_heat.add_argument("--scene", metavar="PATH", help="scene JSON (default: synthetic from --seed)")
     p_heat.add_argument("--signal", type=float, default=None)
     p_heat.add_argument("--out-dir", default="heatmaps", metavar="DIR")
@@ -108,10 +112,24 @@ def load_config_file(path):
         raise SceneFormatError(f"invalid config JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise SceneFormatError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    unknown = sorted(set(doc) - set(CONFIG_TYPES))
     if unknown:
-        raise SceneFormatError(f"unknown config keys: {unknown}; known: {sorted(CONFIG_KEYS)}")
+        raise SceneFormatError(f"unknown config keys: {unknown}; known: {sorted(CONFIG_TYPES)}")
+    for key, value in doc.items():
+        if not _has_type(value, CONFIG_TYPES[key]):
+            expected = "a list of int" if CONFIG_TYPES[key] is list else CONFIG_TYPES[key].__name__
+            raise SceneFormatError(f"config key '{key}' must be {expected}, got {value!r}")
     return doc
+
+
+def _has_type(value, kind):
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    return isinstance(value, kind)
 
 
 def resolve_settings(args):
@@ -127,12 +145,16 @@ def resolve_settings(args):
         "steps": synth.BENCHMARK_STEPS, "lr": synth.BENCHMARK_LR,
         "signal": synth.BENCHMARK_SIGNAL,
     }
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
+    for key in CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if settings["seed"] < 0:
+        raise DomainError(f"seed must be nonnegative, got {settings['seed']}")
+    if not settings["seeds"] or min(settings["seeds"]) < 0:
+        raise DomainError(f"seeds must be a nonempty list of nonnegative integers, got {settings['seeds']}")
     return settings
 
 
@@ -151,32 +173,20 @@ def config_echo(settings):
     return echo
 
 
-def _to_jsonable(value):
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-def render_report(report):
-    return json.dumps(_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+def _json_default(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def emit(report, args, human_lines=None):
-    text = render_report(report)
+    """Write the report, stamped with the schema version and the command name."""
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "command": args.command, **report}
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    if getattr(args, "json", False) or human_lines is None:
+    if args.json or human_lines is None:
         sys.stdout.write(text)
     else:
         for line in human_lines:
@@ -184,45 +194,39 @@ def emit(report, args, human_lines=None):
 
 
 def _load_scene(args, settings):
-    if getattr(args, "scene", None):
+    if args.scene:
         return sceneio.read_scene(args.scene), {"source": "file", "path": args.scene}
     spec = SceneSpec(seed=settings["seed"], signal=settings["signal"])
     return synth.generate_scene(spec), {"source": "synthetic", "seed": settings["seed"],
                                         "signal": settings["signal"]}
 
 
-def cmd_loss(args):
-    settings = resolve_settings(args)
+def cmd_loss(args, settings):
     scene, source = _load_scene(args, settings)
-    cfg = objective_config(settings)
-    tr = forward([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
-                 scene.masks, scene.positives, cfg, [t.valid for t in scene.tokens])
+    val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
+                    scene.masks, scene.positives, objective_config(settings), [t.valid for t in scene.tokens])
     report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "loss",
         "scene": source,
         "config": config_echo(settings),
-        "k": tr.k,
-        "pooled_logits": tr.logits,
-        "topk_indices": [sel.tolist() for sel in tr.selections],
-        "l_sem": tr.l_sem,
-        "l_geo": tr.l_geo,
-        "total": tr.total,
+        "k": val.k,
+        "pooled_logits": val.logits,
+        "topk_indices": val.selections,
+        "l_sem": val.l_sem,
+        "l_geo": val.l_geo,
+        "total": val.total,
     }
     emit(report, args)
     return EXIT_OK
 
 
-def _suite_command(args, groups, command):
-    settings = resolve_settings(args)
-    results = verify.run_suite(groups=groups, seed=settings["seed"], fault=getattr(args, "fault", None))
+def cmd_suite(args, settings):
+    """verify, gibbs, mil and gradcheck: the suite restricted to args.groups."""
+    results = verify.run_suite(groups=args.groups, seed=settings["seed"], fault=args.fault)
     all_passed = all(r.passed for r in results)
     report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
         "seed": settings["seed"],
-        "fault": getattr(args, "fault", None),
-        "checks": [r.to_dict() for r in results],
+        "fault": args.fault,
+        "checks": [asdict(r) for r in results],
         "all_passed": all_passed,
     }
     lines = [
@@ -235,30 +239,11 @@ def _suite_command(args, groups, command):
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_verify(args):
-    return _suite_command(args, None, "verify")
-
-
-def cmd_gibbs(args):
-    return _suite_command(args, ("gibbs",), "gibbs")
-
-
-def cmd_mil(args):
-    return _suite_command(args, ("mil",), "mil")
-
-
-def cmd_gradcheck(args):
-    return _suite_command(args, ("grad",), "gradcheck")
-
-
-def cmd_demo(args):
-    settings = resolve_settings(args)
+def cmd_demo(args, settings):
     cfg = objective_config(settings)
     bench = synth.run_benchmark(settings["seeds"], settings["steps"], settings["lr"],
                                 settings["signal"], cfg)
     report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "demo",
         "config": config_echo(settings),
         "seeds": bench["seeds"],
         "mean_initial_accuracy": bench["mean_initial_accuracy"],
@@ -275,46 +260,25 @@ def cmd_demo(args):
 
 
 def _export_scene_heatmaps(scene, cfg, out_dir, token_delta=None):
-    tvals = [t.embeddings for t in scene.tokens]
-    if token_delta is not None:
-        tvals = [t + d for t, d in zip(tvals, token_delta)]
-    _, up = fused_maps([f.values for f in scene.features], tvals,
-                       cfg.tau_t, [t.valid for t in scene.tokens])
-    sidecar = export_heatmaps(out_dir, up)
+    sidecar = export_heatmaps(out_dir, synth.fine_maps(scene, token_delta, cfg.tau_t))
     return {"dir": out_dir, "maps": sidecar["maps"]}
 
 
-def cmd_heatmap(args):
-    settings = resolve_settings(args)
+def cmd_heatmap(args, settings):
     scene, source = _load_scene(args, settings)
-    cfg = objective_config(settings)
     report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "heatmap",
         "scene": source,
         "config": config_echo(settings),
-        "heatmaps": _export_scene_heatmaps(scene, cfg, args.out_dir),
+        "heatmaps": _export_scene_heatmaps(scene, objective_config(settings), args.out_dir),
     }
     emit(report, args)
     return EXIT_OK
 
 
-HANDLERS = {
-    "loss": cmd_loss,
-    "verify": cmd_verify,
-    "gibbs": cmd_gibbs,
-    "mil": cmd_mil,
-    "gradcheck": cmd_gradcheck,
-    "demo": cmd_demo,
-    "heatmap": cmd_heatmap,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        return args.run(args, resolve_settings(args))
     except (SceneFormatError, DomainError, DimensionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -78,16 +78,14 @@ class TokenBatch:
         return self.embeddings.shape[1]
 
 
-def token_similarity(fmap, tokens):
-    """Inner products of every feature column with every token, shaped (H, W, L).
+def token_similarity(values, embeddings):
+    """Inner products of every column of a (C, H, W) feature array with every
+    row of an (L, C) token array, shaped (H, W, L).
 
     Pad tokens are included; masking is the posterior's job.
     """
-    if isinstance(fmap, FeatureMap):
-        values = fmap.values
-    else:
-        values = np.asarray(fmap, dtype=np.float64)
-    emb = tokens.embeddings if isinstance(tokens, TokenBatch) else np.asarray(tokens, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    emb = np.asarray(embeddings, dtype=np.float64)
     if values.shape[0] != emb.shape[1]:
         raise DimensionError(
             f"channel mismatch: features have C={values.shape[0]}, tokens have C={emb.shape[1]}"
@@ -128,9 +126,10 @@ def expectation_map(sim, posterior):
     return np.einsum("xyl,l->xy", sim, weights)
 
 
-def alignment_map(fmap, tokens, tau_t=1.0):
-    """Full head for one prompt at one scale: similarity -> posterior -> expectation."""
-    sim = token_similarity(fmap, tokens)
-    valid = tokens.valid if isinstance(tokens, TokenBatch) else np.ones(sim.shape[2], dtype=bool)
-    pi = token_posterior(sim, valid, tau_t)
-    return expectation_map(sim, pi)
+def alignment_map(values, tokens, tau_t=1.0):
+    """Full head for one prompt at one scale: similarity -> posterior -> expectation.
+
+    values is a (C, H, W) feature array and tokens the prompt's TokenBatch.
+    """
+    sim = token_similarity(values, tokens.embeddings)
+    return expectation_map(sim, token_posterior(sim, tokens.valid, tau_t))

@@ -104,8 +104,7 @@ class GacoResult:
     """Intermediates of the full chain, kept for gradients and diagnostics."""
 
     loss: float
-    z: np.ndarray            # map after optional normalization, (P, H, W)
-    log_probs: np.ndarray    # log joint softmax of z
+    log_probs: np.ndarray    # log joint softmax of z, the map after optional normalization
     probs: np.ndarray
     conf: np.ndarray         # sigmoid(z); None when the advantage is frozen
     adv: np.ndarray          # clipped advantage, zero outside masks
@@ -164,7 +163,6 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     return GacoResult(
         loss=loss,
-        z=z,
         log_probs=log_probs,
         probs=probs,
         conf=conf,

@@ -38,6 +38,9 @@ class ObjectiveConfig:
     gaco: GacoConfig = field(default_factory=GacoConfig)
 
     def __post_init__(self):
+        for name in ("tau_t", "tau", "lambda_sem", "lambda_geo"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_sem < 0 or self.lambda_geo < 0:
             raise DomainError("loss weights must be nonnegative")
         if self.tau_t <= 0 or self.tau <= 0:

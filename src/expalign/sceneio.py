@@ -49,8 +49,9 @@ def _get(doc, name, kind):
     return value
 
 
-def _shaped(doc, name, shape):
-    flat = np.asarray(_get(doc, name, list), dtype=np.float64)
+def _shaped(value, name, shape):
+    """A flat list of finite numbers, reshaped; name is the field's dotted path."""
+    flat = np.asarray(value, dtype=np.float64)
     expected = int(np.prod(shape))
     if flat.size != expected:
         raise SceneFormatError(f"field '{name}' has {flat.size} values, expected {expected} for shape {shape}")
@@ -73,23 +74,16 @@ def scene_from_dict(doc):
     if h3 % 4 or w3 % 4:
         raise SceneFormatError(f"height3/width3 must be divisible by 4, got {h3}x{w3}")
 
-    feats_doc = _get(doc, "features", dict) if isinstance(doc.get("features"), dict) else None
-    if feats_doc is None:
+    feats_doc = doc.get("features")
+    if not isinstance(feats_doc, dict):
         raise SceneFormatError("field 'features' must be an object with keys p3, p4, p5")
     features = []
     for scale, factor in ((3, 1), (4, 2), (5, 4)):
         key = f"p{scale}"
         if key not in feats_doc:
             raise SceneFormatError(f"missing field 'features.{key}'")
-        arr = np.asarray(feats_doc[key], dtype=np.float64)
-        shape = (c, h3 // factor, w3 // factor)
-        if arr.size != int(np.prod(shape)):
-            raise SceneFormatError(
-                f"field 'features.{key}' has {arr.size} values, expected {int(np.prod(shape))} for shape {shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise SceneFormatError(f"field 'features.{key}' contains non-finite values")
-        features.append(FeatureMap(scale=scale, values=arr.reshape(shape)))
+        values = _shaped(feats_doc[key], f"features.{key}", (c, h3 // factor, w3 // factor))
+        features.append(FeatureMap(scale=scale, values=values))
 
     tokens_doc = _get(doc, "tokens", list)
     valid_doc = _get(doc, "token_valid", list)
@@ -107,7 +101,7 @@ def scene_from_dict(doc):
             raise SceneFormatError(f"field 'token_valid[{p}]' marks every token invalid")
         tokens.append(TokenBatch(embeddings=emb.reshape(l, c), valid=valid))
 
-    masks_flat = _shaped(doc, "masks", (n_prompts, h3, w3))
+    masks_flat = _shaped(_get(doc, "masks", list), "masks", (n_prompts, h3, w3))
     if not np.isin(masks_flat, (0.0, 1.0)).all():
         raise SceneFormatError("field 'masks' must contain only 0 and 1")
     masks = masks_flat.astype(bool)

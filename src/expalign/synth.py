@@ -17,7 +17,7 @@ learning rate) were tuned once against the acceptance gates and frozen.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -180,15 +180,20 @@ def benchmark_config():
     return ObjectiveConfig(gaco=GacoConfig(normalize=False))
 
 
-def localization_accuracy(scene, token_delta=None, tau_t=1.0):
-    """Fraction of masked prompts whose top fine-map cell lies inside their mask."""
+def fine_maps(scene, token_delta=None, tau_t=1.0):
+    """The scene's fine fused maps (P, H3, W3) at its tokens plus an optional
+    per-prompt token perturbation, such as a trained demo delta."""
     tvals = [t.embeddings for t in scene.tokens]
-    valids = [t.valid for t in scene.tokens]
     if token_delta is not None:
         tvals = [t + d for t, d in zip(tvals, token_delta)]
-    _, up = fused_maps([f.values for f in scene.features], tvals, tau_t, valids)
+    return fused_maps([f.values for f in scene.features], tvals, tau_t, [t.valid for t in scene.tokens])[1]
+
+
+def localization_accuracy(scene, token_delta=None, tau_t=1.0):
+    """Fraction of masked prompts whose top fine-map cell lies inside their mask."""
+    up = fine_maps(scene, token_delta, tau_t)
     hits = counted = 0
-    for p in range(len(tvals)):
+    for p in range(up.shape[0]):
         region = scene.masks[p]
         if not region.any():
             continue
@@ -215,18 +220,7 @@ class DemoReport:
     final_delta: np.ndarray = None  # trained token perturbation; not serialized
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "initial_accuracy": self.initial_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "losses_sem": self.losses_sem,
-            "losses_geo": self.losses_geo,
-            "losses_total": self.losses_total,
-            "diverged": self.diverged,
-            "rng": self.rng,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_delta"}
 
 
 def demo_train(spec, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR, cfg=None):
@@ -277,6 +271,8 @@ def benchmark_spec(seed, signal=BENCHMARK_SIGNAL):
 def run_benchmark(seeds=BENCHMARK_SEEDS, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR,
                   signal=BENCHMARK_SIGNAL, cfg=None):
     """Train every benchmark seed; returns per-seed reports plus mean accuracies."""
+    if len(seeds) == 0:
+        raise DomainError("run_benchmark needs at least one seed")
     reports = [demo_train(benchmark_spec(s, signal), steps, learning_rate, cfg) for s in seeds]
     return {
         "seeds": list(seeds),

@@ -44,16 +44,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "group": self.group,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 _CHECKS = []
 

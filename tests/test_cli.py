@@ -52,11 +52,54 @@ class TestLossCommand:
         assert res.returncode == 2, res.stderr
         assert "nope" in res.stderr
 
+    def test_non_finite_hyperparameter_rejected(self, tmp_path):
+        res = run_cli(["loss", "--tau", "nan"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "tau must be finite" in res.stderr
+
     def test_malformed_scene_gives_parse_error_and_nonzero_exit(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"schema_version": 1,,}')
         res = run_cli(["loss", "--scene", "bad.json"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "line" in res.stderr and "column" in res.stderr
+
+
+class TestConfigAndSeeds:
+    @pytest.mark.parametrize("command,config", [
+        ("loss", {"tau": "abc"}),
+        ("demo", {"steps": "5"}),
+        ("loss", {"normalize_sim": "no"}),
+        ("loss", {"lambda_geo": True}),
+        ("demo", {"seeds": [1, "2"]}),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, command, config):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        res = run_cli([command, "--config", "cfg.json"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert f"config key '{next(iter(config))}'" in res.stderr
+
+    def test_config_integers_accepted_for_float_keys(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"lambda_sem": 1, "normalize_sim": True}))
+        res = run_cli(["loss", "--config", "cfg.json"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["config"]["lambda_sem"] == 1 and report["config"]["normalize_sim"] is True
+
+    @pytest.mark.parametrize("args,config", [
+        (["loss", "--seed", "-1"], None),
+        (["verify", "--seed", "-1"], None),
+        (["loss"], {"seed": -1}),
+        (["demo", "--seeds", ","], None),
+        (["demo", "--seeds", "1,-2"], None),
+        (["demo"], {"seeds": []}),
+    ])
+    def test_bad_seeds_rejected(self, tmp_path, args, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = [*args, "--config", "cfg.json"]
+        res = run_cli(args, cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: seed") and res.stdout == ""
 
 
 class TestVerifyCommand:

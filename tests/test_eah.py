@@ -52,10 +52,14 @@ class TestTokenSimilarity:
         with pytest.raises(DimensionError):
             token_similarity(np.zeros((3, 2, 2)), np.ones((4, 2)))
 
-    def test_accepts_domain_objects(self):
+    def test_domain_objects_rejected(self):
+        # arrays only: FeatureMap and TokenBatch are not a second input format
         fm = FeatureMap(scale=3, values=np.ones((2, 2, 2)))
         tb = TokenBatch(embeddings=np.ones((3, 2)))
-        assert token_similarity(fm, tb).shape == (2, 2, 3)
+        with pytest.raises(TypeError):
+            token_similarity(fm, tb.embeddings)
+        with pytest.raises(TypeError):
+            token_similarity(fm.values, tb)
 
 
 class TestTokenPosterior:
@@ -173,9 +177,9 @@ class TestFullHead:
         fm = FeatureMap(scale=3, values=rng.normal(size=(3, 4, 4)))
         tb = TokenBatch(embeddings=rng.normal(size=(5, 3)),
                         valid=np.array([True, True, True, False, True]))
-        sim = token_similarity(fm, tb)
+        sim = token_similarity(fm.values, tb.embeddings)
         expected = expectation_map(sim, token_posterior(sim, tb.valid, 0.7))
-        np.testing.assert_array_equal(alignment_map(fm, tb, tau_t=0.7), expected)
+        np.testing.assert_array_equal(alignment_map(fm.values, tb, tau_t=0.7), expected)
 
 
 class TestDomainTypes:

@@ -86,6 +86,12 @@ class TestObjective:
         with pytest.raises(DomainError, match="finite"):
             objective(features, toks, masks, [0], token_valid=valid)
 
+    @pytest.mark.parametrize("name", ["tau_t", "tau", "lambda_sem", "lambda_geo"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            ObjectiveConfig(**{name: value})
+
     def test_domain_objects_rejected(self):
         # the entry points take raw arrays; FeatureMap and TokenBatch fail loudly
         scene = generate_scene(SceneSpec(seed=1))

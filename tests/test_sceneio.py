@@ -54,6 +54,13 @@ class TestSceneErrors:
         with pytest.raises(SceneFormatError, match=r"features\.p4"):
             scene_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["p3", "p5"])
+    def test_non_finite_features_named(self, scene, field):
+        doc = scene_to_dict(scene)
+        doc["features"][field][1] = float("inf")
+        with pytest.raises(SceneFormatError, match=rf"field 'features\.{field}' contains non-finite values"):
+            scene_from_dict(doc)
+
     def test_masks_must_be_binary(self, scene):
         doc = scene_to_dict(scene)
         doc["masks"][0] = 2

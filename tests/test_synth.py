@@ -11,6 +11,7 @@ from expalign.synth import (
     generate_scene,
     localization_accuracy,
     region_profile,
+    run_benchmark,
 )
 
 
@@ -136,6 +137,10 @@ class TestDemoTrain:
         report = demo_train(benchmark_spec(4), steps=7)
         assert len(report.losses_sem) == len(report.losses_geo) == len(report.losses_total) == 7
         assert not report.diverged
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            run_benchmark(seeds=[], steps=1)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(DomainError):
