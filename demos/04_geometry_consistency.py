@@ -24,7 +24,7 @@ masks[1, 4:6, 0:3] = True
 cfg = GacoConfig(clip=3.0, eps=1e-6, normalize=False)
 res = gaco_forward(maps, masks, cfg)
 
-print("pair distribution sums to", res.probs.sum())
+print("pair distribution sums to", np.exp(res.log_probs).sum())
 print("region stats (mu, sigma):", [tuple(np.round(s, 3)) for s in res.stats])
 print("advantage inside region 0:\n", np.round(res.adv[0, 1:4, 1:4], 2))
 print("per-region advantage sums:",
@@ -35,7 +35,7 @@ print("loss:", round(res.loss, 5))
 tiny = gaco_forward(np.array([[[0.0, math.log(3.0)]]]), np.ones((1, 1, 2), bool),
                     GacoConfig(eps=1e-12, normalize=False))
 print("\n1x2 worked chain:")
-print("  probs     ", np.round(tiny.probs.ravel(), 4), "(= [1/4, 3/4])")
+print("  probs     ", np.round(np.exp(tiny.log_probs).ravel(), 4), "(= [1/4, 3/4])")
 print("  confidence", np.round(tiny.conf.ravel(), 4), "(= [1/2, 3/4])")
 print("  advantage ", np.round(tiny.adv.ravel(), 4), "(= [-1, 1])")
 print("  loss      ", round(tiny.loss, 6), "= -(1/2) log 3 =", round(-0.5 * math.log(3), 6))

@@ -50,19 +50,16 @@ def normalize_sim(m, eps=1e-6):
     return m / (np.abs(m).max() + eps)
 
 
-def joint_softmax(m):
-    """Softmax over every prompt-location pair of a (P, H, W) map, max-subtracted."""
-    m = np.asarray(m, dtype=np.float64)
-    z = m - m.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def log_joint_softmax(m):
-    """Log of joint_softmax, computed directly for numerical headroom."""
+    """Log softmax over every prompt-location pair of a (P, H, W) map, max-subtracted."""
     m = np.asarray(m, dtype=np.float64)
     z = m - m.max()
     return z - np.log(np.exp(z).sum())
+
+
+def joint_softmax(m):
+    """The pair distribution the loss uses: exp of log_joint_softmax."""
+    return np.exp(log_joint_softmax(m))
 
 
 def confidence(m):
@@ -104,15 +101,12 @@ class GacoResult:
     """Intermediates of the full chain, kept for gradients and diagnostics."""
 
     loss: float
-    log_probs: np.ndarray    # log joint softmax of z, the map after optional normalization
-    probs: np.ndarray
-    conf: np.ndarray         # sigmoid(z); None when the advantage is frozen
-    adv: np.ndarray          # clipped advantage, zero outside masks
-    masks: np.ndarray        # boolean (P, H, W)
-    denom: int               # total masked cell count
-    adv_sum: float           # sum of advantage over masked cells
-    norm_denominator: float  # max|map| + eps when normalize is on, else 1.0
-    stats: tuple             # per-prompt (mu, sigma) or None for empty regions
+    log_probs: np.ndarray  # log joint softmax of z, the map after optional normalization
+    conf: np.ndarray       # sigmoid(z); None when the advantage is frozen
+    adv: np.ndarray        # clipped advantage, zero outside masks
+    masks: np.ndarray      # boolean (P, H, W)
+    denom: int             # total masked cell count
+    stats: tuple           # per-prompt (mu, sigma) or None for empty regions
 
 
 def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
@@ -126,15 +120,8 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     if up_map.ndim != 3 or up_map.shape != masks.shape:
         raise DimensionError(f"map {up_map.shape} and masks {masks.shape} must both be (P, H, W)")
 
-    if cfg.normalize:
-        norm_den = float(np.abs(up_map).max() + cfg.eps)
-        z = up_map / norm_den
-    else:
-        norm_den = 1.0
-        z = up_map
-
+    z = normalize_sim(up_map, cfg.eps) if cfg.normalize else up_map
     log_probs = log_joint_softmax(z)
-    probs = np.exp(log_probs)
 
     stats = []
     if frozen_adv is not None:
@@ -154,22 +141,24 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
             adv[p, region] = advantage(conf[p, region], mu, sigma, cfg.clip)
 
     denom = int(masks.sum())
-    if denom > 0:
-        loss = float(-(adv[masks] * log_probs[masks]).sum() / denom)
-        adv_sum = float(adv[masks].sum())
-    else:
-        loss = 0.0
-        adv_sum = 0.0
+    loss = float(-(adv[masks] * log_probs[masks]).sum() / denom) if denom > 0 else 0.0
+    return GacoResult(loss=loss, log_probs=log_probs, conf=conf, adv=adv, masks=masks,
+                      denom=denom, stats=tuple(stats))
 
-    return GacoResult(
-        loss=loss,
-        log_probs=log_probs,
-        probs=probs,
-        conf=conf,
-        adv=adv,
-        masks=masks,
-        denom=denom,
-        adv_sum=adv_sum,
-        norm_denominator=norm_den,
-        stats=tuple(stats),
-    )
+
+def gaco_backward(res, up_map, cfg, g_loss):
+    """Gradient of g_loss * res.loss with respect to the (P, H3, W3) fine map; the advantage is a
+    constant, and the max-abs normalizer is differentiated through its argmax cell."""
+    if res.denom == 0:
+        return np.zeros_like(up_map)
+    masked_adv = float(res.adv[res.masks].sum())
+    g_z = -(res.adv * res.masks - masked_adv * np.exp(res.log_probs)) / res.denom
+    g_z *= g_loss
+    if not cfg.normalize:
+        return g_z
+    d = float(np.abs(up_map).max() + cfg.eps)
+    g_up = g_z / d
+    a_star = int(np.argmax(np.abs(up_map)))
+    sign = 1.0 if up_map.ravel()[a_star] >= 0 else -1.0
+    g_up.ravel()[a_star] -= sign / d**2 * float((g_z * up_map).sum())
+    return g_up

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fusion, semantic
 from .errors import DimensionError, DomainError
-from .gaco import GacoConfig, GacoResult, gaco_forward
+from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward
 
 
 @dataclass(frozen=True)
@@ -198,36 +198,12 @@ class GradientBundle:
 def backward(tr, cfg=ObjectiveConfig()):
     """Reverse pass over a Trace; returns gradients w.r.t. features and tokens."""
     n_prompts = tr.tok_stack.shape[0]
-
-    # contrastive head -> coarse fused map
-    g_dw = np.zeros_like(tr.dw)
-    if cfg.lambda_sem != 0.0:
-        z = tr.logits / cfg.tau
-        z = z - z.max()
-        q = np.exp(z)
-        q /= q.sum()
-        y = np.zeros(n_prompts)
-        y[list(tr.positives)] = 1.0
-        d_logit = (q - y / len(tr.positives)) / cfg.tau
-        flat = g_dw.reshape(n_prompts, -1)
-        for p in range(n_prompts):
-            flat[p, tr.selections[p]] = d_logit[p] / tr.k
-        g_dw *= cfg.lambda_sem
-
-    # geometry head -> fine fused map
-    g_up = np.zeros_like(tr.up)
-    res = tr.gaco
-    if cfg.lambda_geo != 0.0 and res.denom > 0:
-        g_z = -(res.adv * res.masks - res.adv_sum * res.probs) / res.denom
-        g_z *= cfg.lambda_geo
-        if cfg.gaco.normalize:
-            d = res.norm_denominator
-            g_up = g_z / d
-            a_star = int(np.argmax(np.abs(tr.up)))
-            sign = 1.0 if tr.up.ravel()[a_star] >= 0 else -1.0
-            g_up.ravel()[a_star] -= sign / d**2 * float((g_z * tr.up).sum())
-        else:
-            g_up = g_z
+    # each loss term's own backward gives its fused map's gradient; a zero weight skips the term
+    g_dw = (semantic.pooled_infonce_backward(tr.logits, tr.selections, tr.positives, tr.dw.shape,
+                                             cfg.tau, cfg.lambda_sem)
+            if cfg.lambda_sem != 0.0 else np.zeros_like(tr.dw))
+    g_up = (gaco_backward(tr.gaco, tr.up, cfg.gaco, cfg.lambda_geo)
+            if cfg.lambda_geo != 0.0 else np.zeros_like(tr.up))
 
     gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
     gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)

@@ -9,7 +9,7 @@ over instance scores. k=1 recovers max pooling, k=N mean pooling.
 import numpy as np
 
 from .errors import DimensionError
-from .semantic import topk_select
+from .semantic import pooled_logit, topk_select
 
 
 def instance_vectors(sim):
@@ -33,6 +33,4 @@ def mil_score(instances, posterior):
 
 def bag_logit(scores, k):
     """Mean of the k largest instance scores (ties keep the lowest index)."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    sel = topk_select(scores, k)
-    return float(scores[sel].mean())
+    return pooled_logit(scores, topk_select(scores, k))

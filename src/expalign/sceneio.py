@@ -42,22 +42,33 @@ def _get(doc, name, kind):
     if name not in doc:
         raise SceneFormatError(f"missing field '{name}'")
     value = doc[name]
-    if kind is int and not isinstance(value, int):
+    if kind is int and type(value) is not int:  # a JSON boolean is not an integer
         raise SceneFormatError(f"field '{name}' must be an integer, got {type(value).__name__}")
     if kind is list and not isinstance(value, list):
         raise SceneFormatError(f"field '{name}' must be a list, got {type(value).__name__}")
     return value
 
 
+def _numbers(value, name):
+    """A flat list of JSON numbers (not booleans) as an array; name is the field's dotted path."""
+    if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
+        raise SceneFormatError(f"field '{name}' must be a flat list of numbers")
+    return np.array(value, dtype=np.float64)
+
+
+def _finite(flat, name):
+    if not np.all(np.isfinite(flat)):
+        raise SceneFormatError(f"field '{name}' contains non-finite values")
+    return flat
+
+
 def _shaped(value, name, shape):
     """A flat list of finite numbers, reshaped; name is the field's dotted path."""
-    flat = np.asarray(value, dtype=np.float64)
+    flat = _numbers(value, name)
     expected = int(np.prod(shape))
     if flat.size != expected:
         raise SceneFormatError(f"field '{name}' has {flat.size} values, expected {expected} for shape {shape}")
-    if not np.all(np.isfinite(flat)):
-        raise SceneFormatError(f"field '{name}' contains non-finite values")
-    return flat.reshape(shape)
+    return _finite(flat, name).reshape(shape)
 
 
 def scene_from_dict(doc):
@@ -91,10 +102,13 @@ def scene_from_dict(doc):
         raise SceneFormatError("fields 'tokens' and 'token_valid' must have one entry per prompt")
     tokens = []
     for p in range(n_prompts):
-        emb = np.asarray(tokens_doc[p], dtype=np.float64)
+        emb = _numbers(tokens_doc[p], f"tokens[{p}]")
         if emb.size != l * c:
             raise SceneFormatError(f"field 'tokens[{p}]' has {emb.size} values, expected {l * c}")
-        valid = np.asarray(valid_doc[p], dtype=bool)
+        _finite(emb, f"tokens[{p}]")
+        if not isinstance(valid_doc[p], list) or not {bool}.issuperset(map(type, valid_doc[p])):
+            raise SceneFormatError(f"field 'token_valid[{p}]' must be a list of booleans")
+        valid = np.array(valid_doc[p], dtype=bool)
         if valid.size != l:
             raise SceneFormatError(f"field 'token_valid[{p}]' has {valid.size} values, expected {l}")
         if not valid.any():
@@ -110,7 +124,9 @@ def scene_from_dict(doc):
     if not positives:
         raise SceneFormatError("field 'positives' must be nonempty")
     for p in positives:
-        if not isinstance(p, int) or not 0 <= p < n_prompts:
+        if type(p) is not int:
+            raise SceneFormatError(f"field 'positives' entry {p!r} must be an integer")
+        if not 0 <= p < n_prompts:
             raise SceneFormatError(f"field 'positives' entry {p!r} outside [0, {n_prompts})")
 
     directions = np.zeros((n_prompts, c))

@@ -66,3 +66,22 @@ def infonce_multi_positive(logits, positives, tau=0.25):
     lse = zmax + math.log(np.exp(z - zmax).sum())
     log_probs = z - lse
     return float(-log_probs[positives].mean() + 0.0)
+
+
+def pooled_infonce_backward(logits, selections, positives, shape, tau, g_loss):
+    """Gradient of g_loss * infonce_multi_positive(logits) with respect to the (P, H, W) coarse
+    maps; top-k sets are locally constant, so each logit's gradient spreads evenly over its set."""
+    positives = sorted(set(int(p) for p in positives))
+    z = logits / tau
+    z = z - z.max()
+    q = np.exp(z)
+    q /= q.sum()
+    y = np.zeros(len(logits))
+    y[positives] = 1.0
+    d_logit = (q - y / len(positives)) / tau
+    g = np.zeros(shape)
+    flat = g.reshape(shape[0], -1)
+    for p, sel in enumerate(selections):
+        flat[p, sel] = d_logit[p] / len(sel)
+    g *= g_loss
+    return g

@@ -70,6 +70,9 @@ class SceneSpec:
             raise DomainError("need at least one positive prompt")
         if self.n_positives > self.channels:
             raise DomainError("orthonormal planted directions need n_positives <= channels")
+        for name in ("signal", "feature_noise", "token_noise", "token_signal"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.signal < 0 or self.feature_noise < 0 or self.token_noise < 0 or self.token_signal < 0:
             raise DomainError("signal and noise scales must be nonnegative")
         if self.masks is not None:
@@ -232,6 +235,8 @@ def demo_train(spec, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR, cfg=None
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0):
+        raise DomainError(f"learning_rate must be finite and nonnegative, got {learning_rate}")
     cfg = cfg or benchmark_config()
     scene = generate_scene(spec)
     fvals = [f.values for f in scene.features]

@@ -263,29 +263,22 @@ def _gaco_worked(rng, fault):
 
 @_register("gaco_gradient_sign", "gaco", 1e-6)
 def _gaco_sign(rng, fault):
-    # single masked location with a (frozen) positive advantage: dL/dZ(p,i)
-    # must equal -A * (1 - P(p,i)) / D, i.e. descent raises that logit
+    # single masked location with a (frozen) positive advantage: the backward
+    # pass must match central differences, and descent must raise that logit
     m = rng.normal(size=(1, 2, 2))
     masks = np.zeros((1, 2, 2), dtype=bool)
     masks[0, 0, 0] = True
     cfg = gaco.GacoConfig(clip=3.0, eps=1e-6, normalize=False)
     adv = np.zeros((1, 2, 2))
     adv[0, 0, 0] = 1.3
-    res = gaco.gaco_forward(m, masks, cfg, frozen_adv=adv)
-    prob = float(res.probs[0, 0, 0])
-    analytic = -adv[0, 0, 0] * (1.0 - prob) / res.denom
+    analytic = gaco.gaco_backward(gaco.gaco_forward(m, masks, cfg, frozen_adv=adv), m, cfg, 1.0)
     if fault == FAULT_GACO_SIGN:
         analytic = -analytic
-    h = 1e-6
-    mp, mm = m.copy(), m.copy()
-    mp[0, 0, 0] += h
-    mm[0, 0, 0] -= h
-    lp = gaco.gaco_forward(mp, masks, cfg, frozen_adv=adv).loss
-    lm = gaco.gaco_forward(mm, masks, cfg, frozen_adv=adv).loss
-    fd = (lp - lm) / (2 * h)
-    residual = abs(analytic - fd)
-    if analytic >= 0:  # gradient descent must raise a positively weighted logit
-        residual = max(residual, float(analytic) + 1.0)
+    loss = lambda x: gaco.gaco_forward(x, masks, cfg, frozen_adv=adv).loss
+    fd = finite_difference_gradient(loss, m, h=1e-6)
+    residual = float(np.abs(analytic - fd).max())
+    if analytic[0, 0, 0] >= 0:  # gradient descent must raise a positively weighted logit
+        residual = max(residual, float(analytic[0, 0, 0]) + 1.0)
     return residual, "masked-logit derivative matches central differences and is negative"
 
 

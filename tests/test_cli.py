@@ -63,6 +63,20 @@ class TestLossCommand:
         assert res.returncode == 2, res.stderr
         assert "line" in res.stderr and "column" in res.stderr
 
+    def test_non_numeric_scene_entry_named(self, tmp_path):
+        doc = json.loads(FIXTURE.read_text())
+        doc["masks"][0] = "a"
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        res = run_cli(["loss", "--scene", "scene.json"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "field 'masks' must be a flat list of numbers" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_signal_named(self, tmp_path, value):
+        res = run_cli(["loss", "--signal", value], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: signal must be finite") and res.stdout == ""
+
 
 class TestConfigAndSeeds:
     @pytest.mark.parametrize("command,config", [
@@ -139,6 +153,12 @@ class TestDemoCommand:
         assert len(report["runs"]) == 1
         assert len(report["runs"][0]["losses_total"]) == 5
         assert report["runs"][0]["rng"] == "numpy-pcg64"
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_bad_learning_rate_named(self, tmp_path, value):
+        res = run_cli(["demo", "--seeds", "1", "--steps", "2", "--lr", value], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: learning_rate must be finite and nonnegative") and res.stdout == ""
 
     def test_identical_seeds_give_byte_identical_reports(self, tmp_path):
         a = run_cli(["demo", "--seeds", "2,3", "--steps", "8"], cwd=tmp_path)

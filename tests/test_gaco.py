@@ -8,11 +8,13 @@ from expalign.gaco import (
     GacoConfig,
     advantage,
     confidence,
+    gaco_backward,
     gaco_forward,
     joint_softmax,
     normalize_sim,
     region_stats,
 )
+from expalign.gradients import finite_difference_gradient
 
 # hand evaluation of the chain on a 1x2 grid with logits [0, ln 3], full mask,
 # eps -> 0: P = [1/4, 3/4], R = [1/2, 3/4], mu = 5/8, sigma = 1/8, A = [-1, 1],
@@ -61,6 +63,15 @@ class TestJointSoftmax:
         rng = np.random.default_rng(1)
         m = rng.normal(size=(2, 3, 3))
         assert np.abs(joint_softmax(m + 7.3) - joint_softmax(m)).max() <= 1e-10
+
+    def test_bitwise_equal_to_the_loss_distribution(self):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(3, 5, 4)) * 6
+        masks = rng.random(size=m.shape) < 0.4
+        for cfg in (GacoConfig(normalize=False), GacoConfig(normalize=True)):
+            z = normalize_sim(m, cfg.eps) if cfg.normalize else m
+            ref = np.exp(gaco_forward(m, masks, cfg).log_probs)
+            assert np.array_equal(joint_softmax(z).view(np.int64), ref.view(np.int64))
 
 
 class TestConfidence:
@@ -138,7 +149,7 @@ class TestGacoLoss:
         masks = np.ones((1, 1, 2), bool)
         res = gaco_forward(m, masks, GacoConfig(clip=3.0, eps=1e-12, normalize=False))
         assert abs(res.loss - CHAIN_VALUE) <= 1e-5
-        np.testing.assert_allclose(res.probs, [[[0.25, 0.75]]], atol=1e-12)
+        np.testing.assert_allclose(np.exp(res.log_probs), [[[0.25, 0.75]]], atol=1e-12)
         np.testing.assert_allclose(res.conf, [[[0.5, 0.75]]], atol=1e-12)
         np.testing.assert_allclose(res.adv, [[[-1.0, 1.0]]], atol=1e-5)
 
@@ -150,8 +161,7 @@ class TestGacoLoss:
         free = gaco_forward(m, masks, GacoConfig())
         frozen = gaco_forward(m, masks, GacoConfig(), frozen_adv=free.adv)
         assert frozen.conf is None
-        for got, ref in ((frozen.loss, free.loss), (frozen.probs, free.probs),
-                         (frozen.log_probs, free.log_probs)):
+        for got, ref in ((frozen.loss, free.loss), (frozen.log_probs, free.log_probs)):
             assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
 
 
@@ -189,7 +199,7 @@ class TestChainProperties:
         cfg = GacoConfig(eps=1e-9, normalize=True)
         res = gaco_forward(m, masks, cfg)
         z = m / (np.abs(m).max() + cfg.eps)
-        np.testing.assert_allclose(res.probs, joint_softmax(z), atol=1e-14)
+        np.testing.assert_allclose(np.exp(res.log_probs), joint_softmax(z), atol=1e-14)
         np.testing.assert_allclose(res.conf, confidence(z), atol=1e-14)
 
     def test_rank_pattern_under_increasing_transforms(self):
@@ -206,3 +216,47 @@ class TestChainProperties:
                                               np.argsort(b, kind="stable"))
                 assert np.sign(a[np.argmax(a)]) == np.sign(b[np.argmax(b)])
                 assert np.sign(a[np.argmin(a)]) == np.sign(b[np.argmin(b)])
+
+
+class TestGacoBackward:
+    """gaco_backward against central differences of gaco_forward's loss, with
+    the advantage frozen at the base point as the stop-gradient requires."""
+
+    G_LOSS = 1.9
+
+    def check(self, m, masks, cfg, frozen_adv=None):
+        adv = gaco_forward(m, masks, cfg).adv if frozen_adv is None else frozen_adv
+        res = gaco_forward(m, masks, cfg, frozen_adv=adv)
+        analytic = gaco_backward(res, m, cfg, self.G_LOSS)
+        numeric = finite_difference_gradient(
+            lambda x: self.G_LOSS * gaco_forward(x, masks, cfg, frozen_adv=adv).loss, m, h=1e-5)
+        assert analytic.shape == m.shape
+        assert np.abs(analytic - numeric).max() <= 1e-8
+        return analytic
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_finite_differences(self, normalize):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(3, 6, 6)) * 2
+        masks = rng.random(size=(3, 6, 6)) < 0.4
+        masks[1] = False  # one prompt with an empty mask
+        a = np.sort(np.abs(m).ravel())
+        assert a[-1] - a[-2] > 1e-2  # the max-abs argmax is stable under the FD steps
+        g = self.check(m, masks, GacoConfig(normalize=normalize))
+        assert np.abs(g).max() > 1e-2
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_frozen_advantage_matches_finite_differences(self, normalize):
+        rng = np.random.default_rng(22)
+        m = rng.normal(size=(2, 4, 4))
+        masks = rng.random(size=(2, 4, 4)) < 0.5
+        self.check(m, masks, GacoConfig(normalize=normalize), frozen_adv=rng.normal(size=(2, 4, 4)))
+
+    def test_all_masks_empty_gives_exact_zeros(self):
+        m = np.random.default_rng(23).normal(size=(2, 4, 4))
+        masks = np.zeros((2, 4, 4), bool)
+        cfg = GacoConfig()
+        res = gaco_forward(m, masks, cfg)
+        g = gaco_backward(res, m, cfg, self.G_LOSS)
+        assert res.loss == 0.0
+        assert g.shape == m.shape and not g.any()

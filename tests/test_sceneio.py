@@ -82,6 +82,49 @@ class TestSceneErrors:
         with pytest.raises(SceneFormatError, match="schema_version"):
             scene_from_dict(doc)
 
+    @pytest.mark.parametrize("path,value,field", [
+        (("masks", 0), "a", "masks"),
+        (("features", "p3"), "abc", r"features\.p3"),
+        (("features", "p5", 0), None, r"features\.p5"),
+        (("tokens", 1, 2), "0.5", r"tokens\[1\]"),
+        (("tokens", 0), "abc", r"tokens\[0\]"),
+        (("masks", 3), True, "masks"),
+    ])
+    def test_non_numeric_entries_named(self, scene, path, value, field):
+        doc = scene_to_dict(scene)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SceneFormatError, match=rf"field '{field}' must be a flat list of numbers"):
+            scene_from_dict(doc)
+
+    def test_non_finite_tokens_named(self, scene):
+        doc = scene_to_dict(scene)
+        doc["tokens"][1][0] = float("nan")
+        with pytest.raises(SceneFormatError, match=r"field 'tokens\[1\]' contains non-finite values"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [["no", "no"], [0.5, 7], [1, 0], [True, None]])
+    def test_token_valid_entries_must_be_booleans(self, scene, entry):
+        doc = scene_to_dict(scene)
+        doc["token_valid"][0] = entry
+        with pytest.raises(SceneFormatError, match=r"field 'token_valid\[0\]' must be a list of booleans"):
+            scene_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [True, False, 0.0, "0"])
+    def test_positives_must_be_integers(self, scene, entry):
+        doc = scene_to_dict(scene)
+        doc["positives"] = [entry]
+        with pytest.raises(SceneFormatError, match="field 'positives' entry .* must be an integer"):
+            scene_from_dict(doc)
+
+    def test_boolean_dimension_rejected(self, scene):
+        doc = scene_to_dict(scene)
+        doc["prompts"] = True
+        with pytest.raises(SceneFormatError, match="field 'prompts' must be an integer, got bool"):
+            scene_from_dict(doc)
+
     def test_all_invalid_tokens_rejected(self, scene):
         doc = scene_to_dict(scene)
         doc["token_valid"][0] = [False] * len(doc["token_valid"][0])

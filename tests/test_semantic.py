@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expalign.errors import DomainError
+from expalign.gradients import finite_difference_gradient
 from expalign.semantic import (
     infonce_multi_positive,
+    pooled_infonce_backward,
     pooled_logit,
     pooled_logits,
     topk_budget,
@@ -84,6 +86,21 @@ class TestPooledLogit:
         np.testing.assert_allclose(logits, [2.5, 2.0])
         np.testing.assert_array_equal(sels[0], [2, 3])
         np.testing.assert_array_equal(sels[1], [0, 1])
+
+
+class TestPooledInfoNCEBackward:
+    @pytest.mark.parametrize("positives", [[1], [0, 2]])
+    def test_matches_finite_differences(self, positives):
+        g_loss, tau, k = 0.37, 0.25, 3
+        maps = np.random.default_rng(5).normal(size=(3, 4, 4))
+        v = -np.sort(-maps.reshape(3, -1), axis=1)
+        assert (v[:, k - 1] - v[:, k]).min() > 1e-2  # no top-k ties near the FD steps
+        logits, sels = pooled_logits(maps, k)
+        analytic = pooled_infonce_backward(logits, sels, positives, maps.shape, tau, g_loss)
+        numeric = finite_difference_gradient(
+            lambda x: g_loss * infonce_multi_positive(pooled_logits(x, k)[0], positives, tau), maps, h=1e-5)
+        assert np.abs(analytic - numeric).max() <= 1e-8
+        assert (np.count_nonzero(analytic.reshape(3, -1), axis=1) == k).all()
 
 
 class TestInfoNCE:

@@ -24,6 +24,12 @@ class TestSceneSpec:
         with pytest.raises(DomainError):
             SceneSpec(seed=0, prompts=2, n_negatives=2)
 
+    @pytest.mark.parametrize("name", ["signal", "feature_noise", "token_noise", "token_signal"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scales_named(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            SceneSpec(seed=0, **{name: value})
+
     def test_mask_bounds_checked(self):
         with pytest.raises(DomainError):
             SceneSpec(seed=0, prompts=1, n_negatives=0,
@@ -141,6 +147,11 @@ class TestDemoTrain:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(DomainError, match="seed"):
             run_benchmark(seeds=[], steps=1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.5])
+    def test_bad_learning_rate_rejected_before_training(self, lr):
+        with pytest.raises(DomainError, match="learning_rate must be finite and nonnegative"):
+            demo_train(benchmark_spec(5), steps=1, learning_rate=lr)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(DomainError):
