@@ -205,6 +205,9 @@ def cmd_loss(args, settings):
     scene, source = _load_scene(args, settings)
     val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
                     scene.masks, scene.positives, objective_config(settings), [t.valid for t in scene.tokens])
+    bad = [name for name in ("l_sem", "l_geo", "total") if not np.isfinite(getattr(val, name))]
+    if bad:
+        raise DomainError(f"non-finite loss terms: {', '.join(bad)}")
     report = {
         "scene": source,
         "config": config_echo(settings),

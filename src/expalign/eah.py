@@ -6,43 +6,18 @@ by their spatially averaged response, and the posterior-weighted expectation
 over token maps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-VALID_SCALES = (3, 4, 5)
 
 
 @dataclass(frozen=True)
 class FeatureMap:
     """Dense visual features at one pyramid scale, values shaped (C, H, W)."""
 
-    scale: int
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if self.scale not in VALID_SCALES:
-            raise DomainError(f"scale must be one of {VALID_SCALES}, got {self.scale}")
-        if v.ndim != 3 or min(v.shape) < 1:
-            raise DimensionError(f"feature values must be (C, H, W) with positive dims, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("feature values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def channels(self):
-        return self.values.shape[0]
-
-    @property
-    def height(self):
-        return self.values.shape[1]
-
-    @property
-    def width(self):
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -50,32 +25,7 @@ class TokenBatch:
     """One prompt's token embeddings (L, C) plus a validity mask (True = non-pad)."""
 
     embeddings: np.ndarray
-    valid: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2 or min(emb.shape) < 1:
-            raise DimensionError(f"embeddings must be (L, C), got {emb.shape}")
-        if not np.all(np.isfinite(emb)):
-            raise DomainError("token embeddings must be finite")
-        valid = self.valid
-        if valid is None:
-            valid = np.ones(emb.shape[0], dtype=bool)
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (emb.shape[0],):
-            raise DimensionError(f"valid mask must have shape ({emb.shape[0]},), got {valid.shape}")
-        if not valid.any():
-            raise DomainError("at least one token must be valid")
-        object.__setattr__(self, "embeddings", emb)
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def count(self):
-        return self.embeddings.shape[0]
-
-    @property
-    def channels(self):
-        return self.embeddings.shape[1]
+    valid: np.ndarray
 
 
 def token_similarity(values, embeddings):
@@ -86,10 +36,15 @@ def token_similarity(values, embeddings):
     """
     values = np.asarray(values, dtype=np.float64)
     emb = np.asarray(embeddings, dtype=np.float64)
+    if values.ndim != 3 or emb.ndim != 2 or min(values.shape + emb.shape) < 1:
+        raise DimensionError(f"features must be (C, H, W) and tokens (L, C) with positive dims, "
+                             f"got {values.shape} and {emb.shape}")
     if values.shape[0] != emb.shape[1]:
         raise DimensionError(
             f"channel mismatch: features have C={values.shape[0]}, tokens have C={emb.shape[1]}"
         )
+    if not (np.isfinite(values).all() and np.isfinite(emb).all()):
+        raise DomainError("features and tokens must be finite")
     return np.einsum("cxy,lc->xyl", values, emb)
 
 
@@ -129,7 +84,8 @@ def expectation_map(sim, posterior):
 def alignment_map(values, tokens, tau_t=1.0):
     """Full head for one prompt at one scale: similarity -> posterior -> expectation.
 
-    values is a (C, H, W) feature array and tokens the prompt's TokenBatch.
+    values is a (C, H, W) feature array and tokens the prompt's TokenBatch; the
+    shape, finiteness and validity checks are token_similarity's and token_posterior's.
     """
     sim = token_similarity(values, tokens.embeddings)
     return expectation_map(sim, token_posterior(sim, tokens.valid, tau_t))

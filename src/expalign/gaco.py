@@ -160,5 +160,6 @@ def gaco_backward(res, up_map, cfg, g_loss):
     g_up = g_z / d
     a_star = int(np.argmax(np.abs(up_map)))
     sign = 1.0 if up_map.ravel()[a_star] >= 0 else -1.0
-    g_up.ravel()[a_star] -= sign / d**2 * float((g_z * up_map).sum())
+    # divide by d twice: d**2 overflows once d passes about 1e154
+    g_up.ravel()[a_star] -= sign * (float((g_z * up_map).sum()) / d) / d
     return g_up

@@ -276,26 +276,16 @@ def objective_fd_gradients(features, tokens, masks, positives,
     base = forward(fvals, tvals, masks, positives, cfg, valids)
     frozen = base.gaco.adv.copy()
 
-    def value(fv_list, tv_list):
-        tr = forward(fv_list, tv_list, masks, positives, cfg, valids, frozen_adv=frozen)
-        return tr.total
+    points = fvals + tvals  # the three scales, then each prompt
 
-    d_features = []
-    for s in range(3):
-        def f_s(x, s=s):
-            fv = list(fvals)
-            fv[s] = x
-            return value(fv, tvals)
-        d_features.append(finite_difference_gradient(f_s, fvals[s], h))
-    d_tokens = []
-    for p in range(len(tvals)):
-        def f_p(x, p=p):
-            tv = list(tvals)
-            tv[p] = x
-            return value(fvals, tv)
-        d_tokens.append(finite_difference_gradient(f_p, tvals[p], h))
+    def value(i, x):
+        args = list(points)
+        args[i] = x
+        return forward(args[:3], args[3:], masks, positives, cfg, valids, frozen_adv=frozen).total
+
+    grads = [finite_difference_gradient(lambda x, i=i: value(i, x), p, h) for i, p in enumerate(points)]
     return GradientBundle(
-        d_features=d_features, d_tokens=d_tokens,
+        d_features=grads[:3], d_tokens=grads[3:],
         l_sem=base.l_sem, l_geo=base.l_geo, total=base.total,
     )
 

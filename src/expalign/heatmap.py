@@ -45,7 +45,7 @@ def read_pgm(path):
     return data.reshape(h, w)
 
 
-def export_heatmaps(out_dir, maps, prefix="prompt"):
+def export_heatmaps(out_dir, maps):
     """Write one PGM per map plus a sidecar heatmaps.json; returns the sidecar dict."""
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 3:
@@ -53,7 +53,7 @@ def export_heatmaps(out_dir, maps, prefix="prompt"):
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for p in range(maps.shape[0]):
-        name = f"{prefix}_{p:02d}.pgm"
+        name = f"prompt_{p:02d}.pgm"
         lo, hi = write_pgm(os.path.join(out_dir, name), maps[p])
         entries.append({"file": name, "min": lo, "max": hi,
                         "height": int(maps.shape[1]), "width": int(maps.shape[2])})

@@ -16,14 +16,15 @@ SCENE_SCHEMA_VERSION = 1
 
 
 def scene_to_dict(scene):
-    feats = {f"p{fm.scale}": fm.values.ravel().tolist() for fm in scene.features}
+    feats = {f"p{s}": fm.values.ravel().tolist() for s, fm in zip((3, 4, 5), scene.features)}
+    c, h3, w3 = scene.features[0].values.shape
     return {
         "schema_version": SCENE_SCHEMA_VERSION,
-        "channels": int(scene.features[0].channels),
-        "height3": int(scene.features[0].height),
-        "width3": int(scene.features[0].width),
+        "channels": c,
+        "height3": h3,
+        "width3": w3,
         "prompts": len(scene.tokens),
-        "tokens_per_prompt": int(scene.tokens[0].count),
+        "tokens_per_prompt": scene.tokens[0].embeddings.shape[0],
         "features": feats,
         "tokens": [t.embeddings.ravel().tolist() for t in scene.tokens],
         "token_valid": [t.valid.tolist() for t in scene.tokens],
@@ -94,7 +95,7 @@ def scene_from_dict(doc):
         if key not in feats_doc:
             raise SceneFormatError(f"missing field 'features.{key}'")
         values = _shaped(feats_doc[key], f"features.{key}", (c, h3 // factor, w3 // factor))
-        features.append(FeatureMap(scale=scale, values=values))
+        features.append(FeatureMap(values))
 
     tokens_doc = _get(doc, "tokens", list)
     valid_doc = _get(doc, "token_valid", list)
@@ -113,7 +114,7 @@ def scene_from_dict(doc):
             raise SceneFormatError(f"field 'token_valid[{p}]' has {valid.size} values, expected {l}")
         if not valid.any():
             raise SceneFormatError(f"field 'token_valid[{p}]' marks every token invalid")
-        tokens.append(TokenBatch(embeddings=emb.reshape(l, c), valid=valid))
+        tokens.append(TokenBatch(emb.reshape(l, c), valid))
 
     masks_flat = _shaped(_get(doc, "masks", list), "masks", (n_prompts, h3, w3))
     if not np.isin(masks_flat, (0.0, 1.0)).all():
@@ -129,9 +130,8 @@ def scene_from_dict(doc):
         if not 0 <= p < n_prompts:
             raise SceneFormatError(f"field 'positives' entry {p!r} outside [0, {n_prompts})")
 
-    directions = np.zeros((n_prompts, c))
     return Scene(features=tuple(features), tokens=tuple(tokens), masks=masks,
-                 positives=tuple(sorted(set(positives))), directions=directions)
+                 positives=tuple(sorted(set(positives))))
 
 
 def read_scene(path):

@@ -90,11 +90,11 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Scene:
-    features: tuple          # FeatureMap at scales 3, 4, 5
+    features: tuple          # FeatureMap at scales 3, 4, 5, in that order
     tokens: tuple            # TokenBatch per prompt
     masks: np.ndarray        # (P, H3, W3) boolean; all-False rows for negatives
     positives: tuple
-    directions: np.ndarray   # (P, C) planted directions, zero rows for negatives
+    directions: np.ndarray = None  # (P, C) planted directions, zero rows for negatives; None from a file
     spec: SceneSpec = None
 
 
@@ -152,7 +152,7 @@ def generate_scene(spec):
         weights[i, r.top:r.top + r.height, r.left:r.left + r.width] = region_profile(r.height, r.width)
 
     features = []
-    for scale, factor in ((3, 1), (4, 2), (5, 4)):
+    for factor in (1, 2, 4):
         hs, ws = h3 // factor, w3 // factor
         values = rng.standard_normal((c, hs, ws)) * spec.feature_noise
         for i in range(n_pos):
@@ -160,7 +160,7 @@ def generate_scene(spec):
             while w_s.shape[0] > hs:
                 w_s = downsample2x(w_s)
             values += spec.signal * directions[i][:, None, None] * w_s[None, :, :]
-        features.append(FeatureMap(scale=scale, values=values))
+        features.append(FeatureMap(values))
 
     span = directions[:n_pos]  # orthonormal rows
     tokens = []
@@ -169,7 +169,7 @@ def generate_scene(spec):
         emb = emb - (emb @ span.T) @ span  # distractors orthogonal to every planted direction
         if i < n_pos:
             emb = emb + spec.token_signal * directions[i][None, :]
-        tokens.append(TokenBatch(embeddings=emb))
+        tokens.append(TokenBatch(emb, np.ones(l, dtype=bool)))
 
     return Scene(
         features=tuple(features), tokens=tuple(tokens), masks=masks,

@@ -71,6 +71,13 @@ class TestLossCommand:
         assert res.returncode == 2, res.stderr
         assert "field 'masks' must be a flat list of numbers" in res.stderr and res.stdout == ""
 
+    def test_non_finite_loss_named_and_not_printed(self, tmp_path):
+        # at a temperature of 1e-308 the logit ratios overflow to inf and the loss is NaN
+        res = run_cli(["loss", "--seed", "3", "--tau", "1e-308", "--tau-t", "1e-308", "--json"],
+                      cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "error: non-finite loss terms: l_sem, total" in res.stderr and res.stdout == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_signal_named(self, tmp_path, value):
         res = run_cli(["loss", "--signal", value], cwd=tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from expalign.eah import (
     FeatureMap,
     TokenBatch,
+    alignment_map,
     expectation_map,
     token_posterior,
     token_similarity,
@@ -52,10 +53,20 @@ class TestTokenSimilarity:
         with pytest.raises(DimensionError):
             token_similarity(np.zeros((3, 2, 2)), np.ones((4, 2)))
 
+    @pytest.mark.parametrize("values,emb,error", [
+        (np.ones((3, 2)), np.ones((4, 3)), DimensionError),
+        (np.ones((3, 2, 2)), np.ones(3), DimensionError),
+        (np.full((3, 2, 2), np.nan), np.ones((4, 3)), DomainError),
+        (np.ones((3, 2, 2)), np.full((4, 3), np.inf), DomainError),
+    ], ids=["features-2d", "tokens-1d", "nan-features", "inf-tokens"])
+    def test_ill_shaped_or_non_finite_rejected(self, values, emb, error):
+        with pytest.raises(error):
+            token_similarity(values, emb)
+
     def test_domain_objects_rejected(self):
         # arrays only: FeatureMap and TokenBatch are not a second input format
-        fm = FeatureMap(scale=3, values=np.ones((2, 2, 2)))
-        tb = TokenBatch(embeddings=np.ones((3, 2)))
+        fm = FeatureMap(np.ones((2, 2, 2)))
+        tb = TokenBatch(np.ones((3, 2)), np.ones(3, dtype=bool))
         with pytest.raises(TypeError):
             token_similarity(fm, tb.embeddings)
         with pytest.raises(TypeError):
@@ -95,6 +106,11 @@ class TestTokenPosterior:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             token_posterior(np.zeros((2, 2, 3)), np.ones(3, dtype=bool), tau_t=0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 4)])
+    def test_shape_mismatch_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            token_posterior(np.zeros(shape), np.ones(3, dtype=bool))
 
 
 class TestExpectationMap:
@@ -172,31 +188,27 @@ class TestHeadProperties:
 
 class TestFullHead:
     def test_alignment_map_composes_the_three_stages(self):
-        from expalign.eah import alignment_map
         rng = np.random.default_rng(8)
-        fm = FeatureMap(scale=3, values=rng.normal(size=(3, 4, 4)))
-        tb = TokenBatch(embeddings=rng.normal(size=(5, 3)),
-                        valid=np.array([True, True, True, False, True]))
+        fm = FeatureMap(rng.normal(size=(3, 4, 4)))
+        tb = TokenBatch(rng.normal(size=(5, 3)), np.array([True, True, True, False, True]))
         sim = token_similarity(fm.values, tb.embeddings)
         expected = expectation_map(sim, token_posterior(sim, tb.valid, 0.7))
         np.testing.assert_array_equal(alignment_map(fm.values, tb, tau_t=0.7), expected)
 
 
 class TestDomainTypes:
+    """The records hold data only; what they hold is checked where it enters the head."""
+
     def test_feature_map_validation(self):
-        with pytest.raises(DomainError):
-            FeatureMap(scale=2, values=np.ones((1, 2, 2)))
+        tokens = TokenBatch(np.ones((2, 3)), np.ones(2, dtype=bool))
         with pytest.raises(DimensionError):
-            FeatureMap(scale=3, values=np.ones((2, 2)))
+            alignment_map(np.ones((3, 2)), tokens)
         with pytest.raises(DomainError):
-            FeatureMap(scale=3, values=np.full((1, 2, 2), np.nan))
-        fm = FeatureMap(scale=4, values=np.ones((3, 4, 6)))
-        assert (fm.channels, fm.height, fm.width) == (3, 4, 6)
+            alignment_map(np.full((3, 2, 2), np.nan), tokens)
 
     def test_token_batch_validation(self):
+        values = np.ones((3, 2, 2))
         with pytest.raises(DomainError):
-            TokenBatch(embeddings=np.ones((2, 3)), valid=np.zeros(2, dtype=bool))
+            alignment_map(values, TokenBatch(np.ones((2, 3)), np.zeros(2, dtype=bool)))
         with pytest.raises(DimensionError):
-            TokenBatch(embeddings=np.ones((2, 3)), valid=np.ones(3, dtype=bool))
-        tb = TokenBatch(embeddings=np.ones((2, 3)))
-        assert tb.valid.all() and tb.count == 2 and tb.channels == 3
+            alignment_map(values, TokenBatch(np.ones((2, 3)), np.ones(3, dtype=bool)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expalign.errors import DomainError
+from expalign.errors import DimensionError, DomainError
 from expalign.gaco import (
     GacoConfig,
     advantage,
@@ -125,6 +125,10 @@ class TestRegionStats:
         with pytest.raises(DomainError):
             region_stats(np.ones(3), np.zeros(3, bool))
 
+    def test_unknown_std_mode_rejected(self):
+        with pytest.raises(DomainError, match="std_mode must be one of"):
+            region_stats(np.ones(3), np.ones(3, bool), std_mode="sample")
+
     def test_std_plus_eps_variant(self):
         vals = np.array([0.2, 0.4, 0.6])
         _, sigma = region_stats(vals, np.ones(3, bool), eps=1e-3, std_mode="std_plus_eps")
@@ -144,6 +148,21 @@ class TestAdvantage:
 
 
 class TestGacoLoss:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"clip": 0.0}, "clip bound must be positive and finite"),
+        ({"clip": float("inf")}, "clip bound must be positive and finite"),
+        ({"eps": -1e-6}, "eps must be positive and finite"),
+        ({"std_mode": "sample"}, "std_mode must be one of"),
+    ])
+    def test_bad_config_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            GacoConfig(**kwargs)
+
+    @pytest.mark.parametrize("map_shape,mask_shape", [((2, 3, 3), (2, 3, 4)), ((3, 3), (3, 3))])
+    def test_map_and_mask_shapes_must_match(self, map_shape, mask_shape):
+        with pytest.raises(DimensionError):
+            gaco_forward(np.zeros(map_shape), np.ones(mask_shape, dtype=bool))
+
     def test_worked_chain(self):
         m = np.array([[[0.0, math.log(3.0)]]])
         masks = np.ones((1, 1, 2), bool)

@@ -7,6 +7,7 @@ from expalign.errors import DimensionError, DomainError
 from expalign.gaco import GacoConfig
 from expalign.gradients import (
     ObjectiveConfig,
+    coerce_inputs,
     finite_difference_gradient,
     forward,
     fused_maps,
@@ -16,7 +17,7 @@ from expalign.gradients import (
     objective_with_gradients,
     relative_gradient_error,
 )
-from expalign.synth import SceneSpec, generate_scene
+from expalign.synth import SceneSpec, benchmark_spec, generate_scene
 from expalign.verify import find_gradcheck_cases, run_gradcheck_case
 
 
@@ -30,6 +31,12 @@ def small_problem(seed=0, prompts=2, tokens=4, channels=3, h3=8):
     for p in range(prompts):
         masks[p, p:p + 3, p:p + 4] = True
     return features, toks, valid, masks
+
+
+def replaced(seq, i, value):
+    out = list(seq)
+    out[i] = value
+    return out
 
 
 class TestObjective:
@@ -91,6 +98,35 @@ class TestObjective:
     def test_non_finite_hyperparameters_rejected(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             ObjectiveConfig(**{name: value})
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"lambda_sem": -0.1}, "loss weights must be nonnegative"),
+        ({"lambda_geo": -1.0}, "loss weights must be nonnegative"),
+        ({"tau": 0.0}, "temperatures must be positive"),
+        ({"tau_t": -1.0}, "temperatures must be positive"),
+        ({"topk_ratio": 0.0}, r"topk_ratio must lie in \(0, 1\]"),
+        ({"topk_ratio": 1.5}, r"topk_ratio must lie in \(0, 1\]"),
+    ])
+    def test_out_of_range_hyperparameters_rejected(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            ObjectiveConfig(**kwargs)
+
+    @pytest.mark.parametrize("corrupt,error,message", [
+        (lambda f, t, v: (replaced(f, 1, f[1][:2]), t, v), DimensionError,
+         "feature maps must share the channel axis"),
+        (lambda f, t, v: (f, replaced(t, 0, t[0][:, :2]), v), DimensionError,
+         r"token embeddings must be \(L, C\) with matching channels"),
+        (lambda f, t, v: (f, replaced(t, 0, t[0][0]), v), DimensionError,
+         r"token embeddings must be \(L, C\) with matching channels"),
+        (lambda f, t, v: (f, t, replaced(v, 1, v[1][:2])), DimensionError,
+         "validity mask length must match the token count"),
+        (lambda f, t, v: (f, t, replaced(v, 1, np.zeros(4, dtype=bool))), DomainError,
+         "every prompt needs at least one valid token"),
+    ], ids=["feature-channels", "token-channels", "token-rank", "valid-length", "no-valid-token"])
+    def test_coerce_inputs_rejects_inconsistent_inputs(self, corrupt, error, message):
+        features, toks, valid, _ = small_problem(12)
+        with pytest.raises(error, match=message):
+            coerce_inputs(*corrupt(features, toks, valid))
 
     def test_domain_objects_rejected(self):
         # the entry points take raw arrays; FeatureMap and TokenBatch fail loudly
@@ -158,6 +194,18 @@ class TestFullGradients:
         fd = objective_fd_gradients(features, toks, masks, [0])
         assert an.d_tokens[0].shape == (5, 3) and an.d_tokens[1].shape == (2, 3)
         assert relative_gradient_error(an, fd) <= 1e-5
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_feature_scales_give_finite_gradients(self, scale):
+        # the geometry backward divides by the max-abs normalizer twice, so
+        # its square never overflows a Python float
+        scene = generate_scene(benchmark_spec(1))
+        bundle = objective_with_gradients([f.values * scale for f in scene.features],
+                                          [t.embeddings for t in scene.tokens], scene.masks,
+                                          scene.positives, ObjectiveConfig(),
+                                          [t.valid for t in scene.tokens])
+        assert np.isfinite(bundle.total)
+        assert all(np.isfinite(g).all() for g in bundle.d_features + bundle.d_tokens)
 
     def test_gradient_flows_through_token_posterior(self):
         # a perturbation that only changes the posterior (not the selected

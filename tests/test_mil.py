@@ -32,6 +32,10 @@ class TestMilScore:
         weights[3] = 1.0
         np.testing.assert_array_equal(mil_score(bag, weights), bag[:, 3])
 
+    def test_token_count_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            mil_score(np.zeros((4, 3)), np.full(2, 0.5))
+
     def test_zero_instances_score_zero(self):
         weights = np.full(3, 1 / 3)
         assert not mil_score(np.zeros((4, 3)), weights).any()

@@ -125,6 +125,30 @@ class TestSceneErrors:
         with pytest.raises(SceneFormatError, match="field 'prompts' must be an integer, got bool"):
             scene_from_dict(doc)
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: d.update(tokens="abc"), r"field 'tokens' must be a list, got str"),
+        (lambda d: d.update(channels=0), "dimensions must be positive"),
+        (lambda d: d.update(height3=6), r"height3/width3 must be divisible by 4, got 6x8"),
+        (lambda d: d.update(features=[0.0]), r"field 'features' must be an object with keys p3, p4, p5"),
+        (lambda d: d["features"].pop("p4"), r"missing field 'features\.p4'"),
+        (lambda d: d["token_valid"].pop(),
+         r"fields 'tokens' and 'token_valid' must have one entry per prompt"),
+        (lambda d: d["tokens"][1].pop(), r"field 'tokens\[1\]' has 5 values, expected 6"),
+        (lambda d: d["token_valid"][0].append(True), r"field 'token_valid\[0\]' has 3 values, expected 2"),
+    ], ids=["not-a-list", "non-positive-dims", "not-divisible-by-4", "features-not-object",
+            "missing-scale", "entry-counts", "token-value-count", "valid-length"])
+    def test_malformed_document_named(self, scene, corrupt, message):
+        doc = scene_to_dict(scene)
+        corrupt(doc)
+        with pytest.raises(SceneFormatError, match=message):
+            scene_from_dict(doc)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SceneFormatError, match="top-level JSON value must be an object"):
+            read_scene(path)
+
     def test_all_invalid_tokens_rejected(self, scene):
         doc = scene_to_dict(scene)
         doc["token_valid"][0] = [False] * len(doc["token_valid"][0])
@@ -133,6 +157,18 @@ class TestSceneErrors:
 
 
 class TestHeatmaps:
+    @pytest.mark.parametrize("write,message", [
+        (lambda d: write_pgm(d / "m.pgm", np.zeros(4)), "heatmap must be 2-D"),
+        (lambda d: export_heatmaps(d / "hm", np.zeros((4, 4))), r"expected \(P, H, W\) maps"),
+        (lambda d: read_pgm(d / "p6.pgm"), "not a binary PGM file"),
+        (lambda d: read_pgm(d / "deep.pgm"), "expected 8-bit PGM"),
+    ], ids=["pgm-not-2d", "maps-not-3d", "bad-magic", "bad-maxval"])
+    def test_bad_input_rejected(self, tmp_path, write, message):
+        (tmp_path / "p6.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        (tmp_path / "deep.pgm").write_bytes(b"P5\n1 1\n65535\n\x00\x00")
+        with pytest.raises(ValueError, match=message):
+            write(tmp_path)
+
     def test_constant_map_is_uniform_gray(self, tmp_path):
         path = tmp_path / "flat.pgm"
         write_pgm(path, np.full((4, 6), 3.3))

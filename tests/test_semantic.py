@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expalign.errors import DomainError
+from expalign.errors import DimensionError, DomainError
 from expalign.gradients import finite_difference_gradient
 from expalign.semantic import (
     infonce_multi_positive,
@@ -128,6 +128,10 @@ class TestInfoNCE:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             infonce_multi_positive(np.array([1.0, 2.0]), [0], tau=0.0)
+
+    def test_non_vector_logits_rejected(self):
+        with pytest.raises(DimensionError):
+            infonce_multi_positive(np.ones((2, 2)), [0])
 
     @given(st.floats(min_value=-20, max_value=20, allow_nan=False), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -30,6 +30,17 @@ class TestSceneSpec:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             SceneSpec(seed=0, **{name: value})
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"channels": 0}, "prompts, tokens, and channels must be positive"),
+        ({"prompts": 5, "n_negatives": 0, "channels": 4}, "n_positives <= channels"),
+        ({"token_noise": -1.0}, "signal and noise scales must be nonnegative"),
+        ({"height3": 4, "width3": 4}, "too small to auto-place"),
+    ], ids=["no-channels", "too-many-positives", "negative-scale", "grid-too-small"])
+    def test_bad_spec_rejected(self, kwargs, message):
+        # the first three fail in the spec, the last when the masks are placed
+        with pytest.raises(DomainError, match=message):
+            generate_scene(SceneSpec(seed=0, **kwargs))
+
     def test_mask_bounds_checked(self):
         with pytest.raises(DomainError):
             SceneSpec(seed=0, prompts=1, n_negatives=0,

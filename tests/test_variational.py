@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expalign.errors import DomainError
+from expalign.errors import DimensionError, DomainError
 from expalign.gaco import joint_softmax
 from expalign.variational import (
     GibbsProblem,
@@ -54,6 +54,10 @@ class TestFreeEnergy:
             free_energy(np.array([0.5, 0.5, 0.1]), prob)
         with pytest.raises(DomainError):
             free_energy(np.array([1.2, -0.2, 0.0]), prob)
+
+    def test_mass_vector_length_checked(self):
+        with pytest.raises(DimensionError):
+            free_energy(np.full(4, 0.25), GibbsProblem(energy=np.zeros(3)))
 
     def test_zero_entries_use_zero_log_zero(self):
         prob = GibbsProblem(energy=np.arange(3.0))
@@ -184,6 +188,10 @@ class TestProblemValidation:
     def test_negative_lambda(self):
         with pytest.raises(DomainError):
             GibbsProblem(energy=np.zeros(3), lam=-0.1)
+
+    def test_geometry_shape_checked(self):
+        with pytest.raises(DimensionError):
+            GibbsProblem(energy=np.zeros(3), geometry=np.zeros(4))
 
     def test_nonfinite_energy(self):
         with pytest.raises(DomainError):
