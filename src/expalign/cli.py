@@ -182,7 +182,7 @@ def _json_default(value):
 def emit(report, args, human_lines=None):
     """Write the report, stamped with the schema version and the command name."""
     report = {"schema_version": REPORT_SCHEMA_VERSION, "command": args.command, **report}
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .eah import FeatureMap, TokenBatch
-from .errors import SceneFormatError
+from .errors import DomainError, SceneFormatError
 from .synth import Scene
 
 SCENE_SCHEMA_VERSION = 1
@@ -34,6 +34,12 @@ def scene_to_dict(scene):
 
 
 def write_scene(path, scene):
+    """Write the scene as JSON; a non-finite value raises DomainError before any file is made."""
+    named = [(f"features.p{s}", fm.values) for s, fm in zip((3, 4, 5), scene.features)]
+    named += [(f"tokens[{p}]", t.embeddings) for p, t in enumerate(scene.tokens)]
+    for name, values in named:
+        if not np.isfinite(values).all():
+            raise DomainError(f"field '{name}' contains non-finite values")
     with open(path, "w") as fh:
         json.dump(scene_to_dict(scene), fh, sort_keys=True)
         fh.write("\n")

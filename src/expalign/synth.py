@@ -223,7 +223,11 @@ class DemoReport:
     final_delta: np.ndarray = None  # trained token perturbation; not serialized
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_delta"}
+        """The JSON fields; a non-finite loss entry (a diverged run's last step) becomes None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_delta"}
+        for key in ("losses_sem", "losses_geo", "losses_total"):
+            out[key] = [v if math.isfinite(v) else None for v in out[key]]
+        return out
 
 
 def demo_train(spec, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR, cfg=None):

@@ -5,15 +5,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
+from conftest import run_cli
 from expalign.eah import expectation_map, token_posterior
 from expalign.gaco import GacoConfig, gaco_forward
 from expalign.gradients import ObjectiveConfig, objective
@@ -230,27 +227,15 @@ def test_criterion_7_untrained_anchors():
         assert abs(np.mean(accs) - np.mean(fracs)) <= 0.1, (np.mean(accs), np.mean(fracs))
 
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _run_cli(args, cwd):
-    # The child runs from `cwd`, where a relative PYTHONPATH no longer resolves;
-    # put this checkout's src first so it imports the same expalign as the tests.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "expalign.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-
-
 def test_criterion_8_determinism(tmp_path):
     with criterion(8, "cmd_verify and cmd_demo byte-identical across identical-seed runs", 120.0):
-        a = _run_cli(["verify", "--json", "--seed", "3"], tmp_path)
-        b = _run_cli(["verify", "--json", "--seed", "3"], tmp_path)
+        a = run_cli(["verify", "--json", "--seed", "3"], tmp_path)
+        b = run_cli(["verify", "--json", "--seed", "3"], tmp_path)
         assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
         assert a.stdout == b.stdout
 
-        c = _run_cli(["demo", "--json"], tmp_path)
-        d = _run_cli(["demo", "--json"], tmp_path)
+        c = run_cli(["demo", "--json"], tmp_path)
+        d = run_cli(["demo", "--json"], tmp_path)
         assert c.returncode == 0 and d.returncode == 0, c.stderr + d.stderr
         assert c.stdout == d.stdout
         report = json.loads(c.stdout)

@@ -1,27 +1,15 @@
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_cli
+
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "worked_example_scene.json"
 GOLDEN = DATA / "golden_loss_report.json"
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_cli(args, cwd):
-    # The child runs from `cwd`, where a relative PYTHONPATH no longer resolves;
-    # put this checkout's src first so it imports the same expalign as the tests.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "expalign.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-
 
 class TestLossCommand:
     def test_golden_report_byte_for_byte(self, tmp_path):
@@ -160,6 +148,20 @@ class TestDemoCommand:
         assert len(report["runs"]) == 1
         assert len(report["runs"][0]["losses_total"]) == 5
         assert report["runs"][0]["rng"] == "numpy-pcg64"
+
+    def test_diverged_run_prints_valid_json(self, tmp_path):
+        # at a temperature of 1e-308 the first step's l_sem and total are NaN
+        res = run_cli(["demo", "--seeds", "1", "--steps", "3", "--tau", "1e-308",
+                       "--tau-t", "1e-308", "--json"], cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in the demo report")
+
+        run = json.loads(res.stdout, parse_constant=reject)["runs"][0]
+        assert run["diverged"] is True and run["steps"] == 1
+        assert run["losses_sem"] == [None] and run["losses_total"] == [None]
+        assert isinstance(run["losses_geo"][0], float)
 
     @pytest.mark.parametrize("value", ["nan", "-0.5"])
     def test_bad_learning_rate_named(self, tmp_path, value):

@@ -1,20 +1,13 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from conftest import run_python
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # Put this checkout's src first, so the demo imports the same expalign as the tests.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=300)
+    res = run_python([str(demo)], cwd=tmp_path)
     assert res.returncode == 0, res.stderr

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from expalign.eah import (
     FeatureMap,
@@ -142,48 +140,6 @@ class TestExpectationMap:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             expectation_map(np.zeros((2, 2, 3)), np.ones(4) / 4)
-
-
-class TestHeadProperties:
-    def test_high_temperature_gives_token_mean(self):
-        rng = np.random.default_rng(5)
-        sim = rng.normal(size=(4, 4, 6))
-        valid = np.array([True] * 4 + [False] * 2)
-        pi = token_posterior(sim, valid, tau_t=1e6)
-        uniform = valid / valid.sum()
-        assert np.abs(pi - uniform).max() <= 1e-5
-        eam = expectation_map(sim, pi)
-        assert np.abs(eam - sim[:, :, valid].mean(axis=2)).max() <= 1e-5
-
-    def test_low_temperature_gives_argmax_token(self):
-        rng = np.random.default_rng(6)
-        sim = rng.normal(size=(4, 4, 5))
-        valid = np.ones(5, dtype=bool)
-        pi = token_posterior(sim, valid, tau_t=1e-6)
-        best = int(np.argmax(sim.mean(axis=(0, 1))))
-        onehot = np.zeros(5)
-        onehot[best] = 1.0
-        assert np.abs(pi - onehot).max() <= 1e-5
-        assert np.abs(expectation_map(sim, pi) - sim[:, :, best]).max() <= 1e-5
-
-    @given(st.floats(min_value=-3, max_value=3, allow_nan=False), st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_constant_shift_moves_map_by_constant(self, k, seed):
-        rng = np.random.default_rng(seed)
-        sim = rng.normal(size=(3, 4, 3))
-        valid = np.ones(3, dtype=bool)
-        base = expectation_map(sim, token_posterior(sim, valid))
-        shifted = expectation_map(sim + k, token_posterior(sim + k, valid))
-        assert np.abs(shifted - base - k).max() <= 1e-10
-
-    def test_token_permutation_invariance(self):
-        rng = np.random.default_rng(7)
-        sim = rng.normal(size=(4, 4, 6))
-        valid = np.array([True, True, False, True, False, True])
-        base = expectation_map(sim, token_posterior(sim, valid))
-        perm = rng.permutation(6)
-        permuted = expectation_map(sim[:, :, perm], token_posterior(sim[:, :, perm], valid[perm]))
-        assert np.abs(permuted - base).max() <= 1e-12
 
 
 class TestFullHead:

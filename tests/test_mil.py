@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from expalign.eah import expectation_map, token_posterior
 from expalign.errors import DimensionError
 from expalign.mil import bag_logit, instance_vectors, mil_score
 
@@ -40,24 +39,8 @@ class TestMilScore:
         weights = np.full(3, 1 / 3)
         assert not mil_score(np.zeros((4, 3)), weights).any()
 
-    def test_equals_expectation_map_flattened(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            h, w, l = (int(rng.integers(1, 9)) for _ in range(3))
-            sim = rng.normal(size=(h, w, l))
-            valid = rng.random(l) < 0.8
-            if not valid.any():
-                valid[0] = True
-            pi = token_posterior(sim, valid)
-            scores = mil_score(instance_vectors(sim), pi)
-            assert np.abs(scores - expectation_map(sim, pi).ravel()).max() <= 1e-12
-
 
 class TestBagLogit:
-    def test_full_bag_is_mean_pooling(self):
-        scores = np.random.default_rng(3).normal(size=13)
-        assert abs(bag_logit(scores, 13) - scores.mean()) <= 1e-12
-
     def test_k1_is_max_pooling(self):
         scores = np.random.default_rng(4).normal(size=13)
         assert bag_logit(scores, 1) == scores.max()
@@ -69,19 +52,3 @@ class TestBagLogit:
             k = int(rng.integers(1, scores.size + 1))
             oracle = np.mean(sorted(scores, reverse=True)[:k])
             assert abs(bag_logit(scores, k) - oracle) <= 1e-12
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(6)
-        scores = rng.normal(size=25)
-        base = bag_logit(scores, 6)
-        for _ in range(20):
-            assert abs(bag_logit(scores[rng.permutation(25)], 6) - base) <= 1e-12
-
-    def test_posterior_depends_only_on_instance_set(self):
-        rng = np.random.default_rng(7)
-        sim = rng.normal(size=(4, 5, 6))
-        valid = np.ones(6, dtype=bool)
-        base = token_posterior(sim, valid)
-        flat = sim.reshape(-1, 6)
-        shuffled = flat[rng.permutation(20)].reshape(4, 5, 6)
-        assert np.abs(token_posterior(shuffled, valid) - base).max() <= 1e-12

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from expalign.errors import SceneFormatError
+from expalign.errors import DomainError, SceneFormatError
 from expalign.heatmap import export_heatmaps, read_pgm, reconstruct, write_pgm
 from expalign.sceneio import read_scene, scene_from_dict, scene_to_dict, write_scene
 from expalign.synth import SceneSpec, generate_scene
@@ -33,6 +33,21 @@ class TestSceneRoundTrip:
         write_scene(path, scene)
         raw = json.loads(path.read_text())
         assert raw["features"]["p3"][0] == scene.features[0].values.ravel()[0]
+
+    def test_overflowed_features_not_written(self, tmp_path):
+        with np.errstate(over="ignore"):
+            scene = generate_scene(SceneSpec(seed=0, signal=1e308))
+        path = tmp_path / "scene.json"
+        with pytest.raises(DomainError, match=r"^field 'features\.p3' contains non-finite values$"):
+            write_scene(path, scene)
+        assert not path.exists()
+
+    def test_non_finite_token_not_written(self, scene, tmp_path):
+        scene.tokens[1].embeddings[0, 0] = np.nan
+        path = tmp_path / "scene.json"
+        with pytest.raises(DomainError, match=r"^field 'tokens\[1\]' contains non-finite values$"):
+            write_scene(path, scene)
+        assert not path.exists()
 
 
 class TestSceneErrors:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from expalign.errors import DimensionError, DomainError
 from expalign.gradients import finite_difference_gradient
@@ -104,9 +102,6 @@ class TestPooledInfoNCEBackward:
 
 
 class TestInfoNCE:
-    def test_single_prompt_is_exactly_zero(self):
-        assert infonce_multi_positive(np.array([4.2]), [0], tau=0.25) == 0.0
-
     def test_two_prompt_value(self):
         value = infonce_multi_positive(np.array([1.0, 0.0]), [0], tau=1.0)
         assert abs(value - TWO_PROMPT_VALUE) <= 1e-12
@@ -132,42 +127,3 @@ class TestInfoNCE:
     def test_non_vector_logits_rejected(self):
         with pytest.raises(DimensionError):
             infonce_multi_positive(np.ones((2, 2)), [0])
-
-    @given(st.floats(min_value=-20, max_value=20, allow_nan=False), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_shift_invariance(self, shift, seed):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(size=5)
-        base = infonce_multi_positive(logits, [0, 3], tau=0.25)
-        assert abs(infonce_multi_positive(logits + shift, [0, 3], tau=0.25) - base) <= 1e-10
-
-    @given(st.floats(min_value=0.05, max_value=20, allow_nan=False), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_temperature_absorption(self, scale, seed):
-        rng = np.random.default_rng(seed)
-        logits = rng.normal(size=4)
-        base = infonce_multi_positive(logits, [1], tau=0.5)
-        assert abs(infonce_multi_positive(scale * logits, [1], tau=0.5 * scale) - base) <= 1e-10
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            pos = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-            assert infonce_multi_positive(rng.normal(size=n) * 5, pos, tau=0.3) >= 0.0
-
-    def test_raising_positive_logit_strictly_helps(self):
-        logits = np.array([0.2, -0.1, 0.5])
-        before = infonce_multi_positive(logits, [1], tau=0.25)
-        logits[1] += 0.05
-        after = infonce_multi_positive(logits, [1], tau=0.25)
-        assert after < before
-
-    def test_spatial_permutation_leaves_pooled_logit_unchanged(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=36)
-        k = 4
-        base = pooled_logit(m, topk_select(m, k))
-        for _ in range(10):
-            perm = rng.permutation(36)
-            assert abs(pooled_logit(m[perm], topk_select(m[perm], k)) - base) <= 1e-12
