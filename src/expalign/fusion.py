@@ -3,6 +3,11 @@
 Down is 2x average pooling and Up is 2x nearest-neighbor replication; both are
 exact, parameter-free linear operators with trivial adjoints. The coarse fused
 map feeds the contrastive loss, the fine fused map feeds the geometry loss.
+
+Both work on the four strided 2x2 slices of a C-contiguous array. The block sum
+keeps the order numpy's reshape(...).mean(axis=(-3, -1)) adds in, so the pooled
+values are bit-identical to that form: ((a00 + a01) + (a10 + a11)) / 4, and
+(((a00 + a01) + a10) + a11) / 4 when the input is two columns wide.
 """
 
 import numpy as np
@@ -12,22 +17,30 @@ from .errors import DimensionError
 
 def downsample2x(m):
     """Average each non-overlapping 2x2 block of the trailing two axes."""
-    m = np.asarray(m, dtype=np.float64)
+    m = np.ascontiguousarray(m, dtype=np.float64)
     h, w = m.shape[-2], m.shape[-1]
     if h % 2 or w % 2:
         raise DimensionError(f"downsample2x needs even trailing dims, got {m.shape}")
-    return m.reshape(*m.shape[:-2], h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    a00, a01, a10, a11 = m[..., 0::2, 0::2], m[..., 0::2, 1::2], m[..., 1::2, 0::2], m[..., 1::2, 1::2]
+    if w == 2:
+        return (((a00 + a01) + a10) + a11) / 4.0
+    return ((a00 + a01) + (a10 + a11)) / 4.0
 
 
 def upsample2x(m):
     """Replicate each cell of the trailing two axes into a 2x2 block."""
     m = np.asarray(m, dtype=np.float64)
-    return np.repeat(np.repeat(m, 2, axis=-2), 2, axis=-1)
+    out = np.empty(m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1]))
+    out[..., 0::2, 0::2] = m
+    out[..., 0::2, 1::2] = m
+    out[..., 1::2, 0::2] = m
+    out[..., 1::2, 1::2] = m
+    return out
 
 
 def downsample2x_adjoint(g):
     """Adjoint of downsample2x: spread each cell's value evenly over its block."""
-    return upsample2x(g) / 4.0
+    return upsample2x(np.asarray(g, dtype=np.float64) / 4.0)
 
 
 def upsample2x_adjoint(g):
@@ -62,19 +75,17 @@ def fuse_up(m3, m4, m5):
 
 def fuse_down_adjoint(g):
     """Backpropagate a P5-shaped gradient through fuse_down; returns (g3, g4, g5)."""
-    g = np.asarray(g, dtype=np.float64)
-    g5 = g / 2.0
-    ga = downsample2x_adjoint(g / 2.0)  # gradient at the (Down(m3)+m4)/2 node
+    g5 = np.asarray(g, dtype=np.float64) / 2.0
+    ga = downsample2x_adjoint(g5)  # gradient at the (Down(m3)+m4)/2 node
     g4 = ga / 2.0
-    g3 = downsample2x_adjoint(ga / 2.0)
+    g3 = downsample2x_adjoint(g4)
     return g3, g4, g5
 
 
 def fuse_up_adjoint(g):
     """Backpropagate a P3-shaped gradient through fuse_up; returns (g3, g4, g5)."""
-    g = np.asarray(g, dtype=np.float64)
-    g3 = g / 2.0
-    gb = upsample2x_adjoint(g / 2.0)  # gradient at the (Up(m5)+m4)/2 node
+    g3 = np.asarray(g, dtype=np.float64) / 2.0
+    gb = upsample2x_adjoint(g3)  # gradient at the (Up(m5)+m4)/2 node
     g4 = gb / 2.0
-    g5 = upsample2x_adjoint(gb / 2.0)
+    g5 = upsample2x_adjoint(g4)
     return g3, g4, g5

@@ -69,14 +69,13 @@ def confidence(m):
     return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def region_stats(r, region, eps=1e-6, std_mode="population"):
-    """Mean and stabilized standard deviation of r over a nonempty boolean region.
+def region_stats(vals, eps=1e-6, std_mode="population"):
+    """Mean and stabilized standard deviation of one nonempty region's values.
 
     Population variance (denominator |region|). "population" puts eps inside the
     root; "std_plus_eps" adds eps outside the population std instead.
     """
-    region = np.asarray(region, dtype=bool)
-    vals = np.asarray(r, dtype=np.float64)[region]
+    vals = np.asarray(vals, dtype=np.float64)
     if vals.size == 0:
         raise DomainError("region is empty; caller must skip this prompt")
     mu = vals.mean()
@@ -102,17 +101,28 @@ class GacoResult:
 
     loss: float
     log_probs: np.ndarray  # log joint softmax of z, the map after optional normalization
-    conf: np.ndarray       # sigmoid(z); None when the advantage is frozen
+    conf: np.ndarray       # sigmoid(z[masks]), in masks order; None when the advantage is frozen
     adv: np.ndarray        # clipped advantage, zero outside masks
     masks: np.ndarray      # boolean (P, H, W)
     denom: int             # total masked cell count
     stats: tuple           # per-prompt (mu, sigma) or None for empty regions
 
 
+def mask_segments(masks):
+    """Flat indices of the masked cells of a (P, H, W) mask, prompt-major as z[masks]
+    orders them, and each prompt's (start, stop) segment of those indices."""
+    cells = np.flatnonzero(masks)
+    width = masks.shape[1] * masks.shape[2]
+    stops = np.searchsorted(cells, width * np.arange(1, masks.shape[0] + 1)).tolist()
+    return cells, list(zip([0] + stops[:-1], stops))
+
+
 def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     """Run the full chain on a (P, H3, W3) fine fused map.
 
-    frozen_adv substitutes a precomputed advantage tensor, which is how the
+    The confidence and the advantage are computed on the masked cells only,
+    prompt by prompt over each one's segment of z[masks]. frozen_adv
+    substitutes a precomputed advantage tensor, which is how the
     finite-difference oracle honors the stop-gradient on the advantage.
     """
     up_map = np.asarray(up_map, dtype=np.float64)
@@ -122,26 +132,29 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     z = normalize_sim(up_map, cfg.eps) if cfg.normalize else up_map
     log_probs = log_joint_softmax(z)
+    cells, segments = mask_segments(masks)
 
-    stats = []
     if frozen_adv is not None:
         adv = np.asarray(frozen_adv, dtype=np.float64)
+        masked_adv = adv[masks]
         conf = None
-        stats = [None] * up_map.shape[0]
+        stats = (None,) * up_map.shape[0]
     else:
-        conf = confidence(z)
-        adv = np.zeros_like(up_map)
-        for p in range(up_map.shape[0]):
-            region = masks[p]
-            if not region.any():
+        conf = confidence(z.ravel().take(cells))
+        masked_adv = np.empty_like(conf)
+        stats = []
+        for start, stop in segments:
+            if start == stop:
                 stats.append(None)  # empty region contributes nothing
                 continue
-            mu, sigma = region_stats(conf[p], region, cfg.eps, cfg.std_mode)
+            mu, sigma = region_stats(conf[start:stop], cfg.eps, cfg.std_mode)
             stats.append((mu, sigma))
-            adv[p, region] = advantage(conf[p, region], mu, sigma, cfg.clip)
+            masked_adv[start:stop] = advantage(conf[start:stop], mu, sigma, cfg.clip)
+        adv = np.zeros(up_map.shape)
+        adv.ravel()[cells] = masked_adv
 
-    denom = int(masks.sum())
-    loss = float(-(adv[masks] * log_probs[masks]).sum() / denom) if denom > 0 else 0.0
+    denom = cells.size
+    loss = float(-(masked_adv * log_probs.ravel().take(cells)).sum() / denom) if denom > 0 else 0.0
     return GacoResult(loss=loss, log_probs=log_probs, conf=conf, adv=adv, masks=masks,
                       denom=denom, stats=tuple(stats))
 

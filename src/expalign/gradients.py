@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fusion, semantic
 from .errors import DimensionError, DomainError
-from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward
+from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward, mask_segments
 
 
 @dataclass(frozen=True)
@@ -291,14 +291,14 @@ def objective_fd_gradients(features, tokens, masks, positives,
 
 
 def relative_gradient_error(analytic, numeric, floor=1e-8):
-    """Max per-coordinate |a - n| / max(|a|, |n|, floor) over matching bundles."""
-    worst = 0.0
+    """Max per-coordinate |a - n| / max(|a|, |n|, floor) over matching bundles; NaN if any is NaN."""
+    errors = [0.0]
     pairs = list(zip(analytic.d_features, numeric.d_features))
     pairs += list(zip(analytic.d_tokens, numeric.d_tokens))
     for a, n in pairs:
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+        errors.append(np.max(np.abs(a - n) / denom))
+    return float(np.max(errors))  # np.max keeps a NaN, where Python's max(worst, nan) drops it
 
 
 def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
@@ -318,11 +318,11 @@ def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
     margins["topk"] = cut
 
     clip_margin = np.inf
-    for p, st in enumerate(tr.gaco.stats):
+    for st, (start, stop) in zip(tr.gaco.stats, mask_segments(tr.gaco.masks)[1]):
         if st is None:
             continue
         mu, sigma = st
-        zpre = (tr.gaco.conf[p][tr.gaco.masks[p]] - mu) / sigma
+        zpre = (tr.gaco.conf[start:stop] - mu) / sigma
         c = cfg.gaco.clip
         clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin

@@ -55,6 +55,14 @@ def _register(name, group, tolerance):
     return deco
 
 
+def _worst(*residuals):
+    """Largest residual, as Python's max picks it, or NaN if any residual is NaN:
+    max(worst, nan) returns worst, so a NaN residual would pass its check."""
+    if any(r != r for r in residuals):
+        return math.nan
+    return max(residuals)
+
+
 def _geo_loss(up_map, masks, cfg, fault):
     loss = gaco.gaco_forward(up_map, masks, cfg).loss
     return -loss if fault == FAULT_GACO_SIGN else loss
@@ -78,7 +86,7 @@ def _fusion_linearity(rng, fault):
         for fuse in (fusion.fuse_down, fusion.fuse_up):
             lhs = fuse(*(a * x + y for x, y in zip(p, q)))
             rhs = a * fuse(*p) + fuse(*q)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+            worst = _worst(worst, float(np.abs(lhs - rhs).max()))
     return worst, "fuse(a*p + q) vs a*fuse(p) + fuse(q)"
 
 
@@ -90,7 +98,7 @@ def _fusion_constant(rng, fault):
     up = fusion.fuse_up(a * ones(8), b * ones(4), c * ones(2))
     r1 = float(np.abs(down - ((a + b) / 2 + c) / 2).max())
     r2 = float(np.abs(up - ((c + b) / 2 + a) / 2).max())
-    return max(r1, r2), "constants against the closed formulas"
+    return _worst(r1, r2), "constants against the closed formulas"
 
 
 @_register("fusion_roundtrip", "fusion", 1e-12)
@@ -107,7 +115,7 @@ def _eah_norm(rng, fault):
     valid = np.array([True, False, True, True, False, True])
     pi = eah.token_posterior(sim, valid, tau_t=0.7)
     residual = abs(float(pi.sum()) - 1.0)
-    residual = max(residual, float(np.abs(pi[~valid]).max()))
+    residual = _worst(residual, float(np.abs(pi[~valid]).max()))
     return residual, "weights sum to 1; pad weights exactly 0"
 
 
@@ -119,14 +127,14 @@ def _eah_limits(rng, fault):
     uniform = valid / valid.sum()
     r = float(np.abs(hot - uniform).max())
     eam_hot = eah.expectation_map(sim, hot)
-    r = max(r, float(np.abs(eam_hot - sim[:, :, valid].mean(axis=2)).max()))
+    r = _worst(r, float(np.abs(eam_hot - sim[:, :, valid].mean(axis=2)).max()))
     cold = eah.token_posterior(sim, valid, tau_t=1e-6)
     sbar = sim.mean(axis=(0, 1))
     best = int(np.argmax(np.where(valid, sbar, -np.inf)))
     onehot = np.zeros(5)
     onehot[best] = 1.0
-    r = max(r, float(np.abs(cold - onehot).max()))
-    r = max(r, float(np.abs(eah.expectation_map(sim, cold) - sim[:, :, best]).max()))
+    r = _worst(r, float(np.abs(cold - onehot).max()))
+    r = _worst(r, float(np.abs(eah.expectation_map(sim, cold) - sim[:, :, best]).max()))
     return r, "tau -> inf gives the token mean, tau -> 0 the argmax token map"
 
 
@@ -178,7 +186,7 @@ def _sem_worked(rng, fault):
     r1 = abs(semantic.infonce_multi_positive(np.array([1.0, 0.0]), [0], tau=1.0) - SEM_TWO_PROMPT_VALUE)
     v = float(rng.normal())
     r2 = abs(semantic.infonce_multi_positive(np.array([v, v, v]), [0, 1], tau=1.0) - SEM_THREE_PROMPT_VALUE)
-    return max(r1, r2), "frozen hand-derived contrastive values"
+    return _worst(r1, r2), "frozen hand-derived contrastive values"
 
 
 @_register("sem_topk_spatial_permutation", "sem", 1e-12)
@@ -207,7 +215,7 @@ def _sem_nonneg(rng, fault):
         n = int(rng.integers(1, 7))
         pos = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
         val = semantic.infonce_multi_positive(rng.normal(size=n) * 3, pos, tau=0.3)
-        worst = max(worst, -val)
+        worst = _worst(worst, -val)
     return worst, "loss never negative"
 
 
@@ -237,7 +245,7 @@ def _gaco_zero_mean(rng, fault):
     worst = 0.0
     for p in range(3):
         if masks[p].any():
-            worst = max(worst, abs(float(res.adv[p][masks[p]].sum())))
+            worst = _worst(worst, abs(float(res.adv[p][masks[p]].sum())))
     return worst, "per-region advantage sums to zero without clipping"
 
 
@@ -247,8 +255,9 @@ def _gaco_bounds(rng, fault):
     m = rng.normal(size=(2, 6, 6)) * 4
     masks = rng.random(size=(2, 6, 6)) < 0.5
     res = gaco.gaco_forward(m, masks, cfg)
-    viol = max(0.0, float(np.abs(res.adv).max()) - cfg.clip)
-    viol = max(viol, float((res.conf <= 0).sum() + (res.conf >= 1).sum()))
+    conf = gaco.confidence(gaco.normalize_sim(m, cfg.eps))  # every cell, not only the masked ones
+    viol = _worst(0.0, float(np.abs(res.adv).max()) - cfg.clip)
+    viol = _worst(viol, float((conf <= 0).sum() + (conf >= 1).sum()))
     return viol, "|A| <= clip and confidence strictly inside (0, 1)"
 
 
@@ -278,7 +287,7 @@ def _gaco_sign(rng, fault):
     fd = finite_difference_gradient(loss, m, h=1e-6)
     residual = float(np.abs(analytic - fd).max())
     if analytic[0, 0, 0] >= 0:  # gradient descent must raise a positively weighted logit
-        residual = max(residual, float(analytic[0, 0, 0]) + 1.0)
+        residual = _worst(residual, float(analytic[0, 0, 0]) + 1.0)
     return residual, "masked-logit derivative matches central differences and is negative"
 
 
@@ -324,7 +333,7 @@ def _gibbs_numeric(rng, fault):
         prob = _random_problem(rng)
         closed = variational.gibbs_closed_form(prob)
         res = variational.minimize_free_energy_numeric(prob, max_iters=500, tol=1e-14)
-        worst = max(worst, variational.kl_divergence(res.q, closed))
+        worst = _worst(worst, variational.kl_divergence(res.q, closed))
     return worst, "KL(numeric || closed) at convergence"
 
 
@@ -336,8 +345,8 @@ def _gibbs_opt(rng, fault):
         f_star = variational.free_energy(variational.gibbs_closed_form(prob), prob)
         qs = variational.random_simplex(rng, prob.size, count=200)
         for q in qs:
-            worst = max(worst, f_star - variational.free_energy(q, prob))
-    return max(0.0, worst), "closed form never beaten by random simplex points"
+            worst = _worst(worst, f_star - variational.free_energy(q, prob))
+    return _worst(0.0, worst), "closed form never beaten by random simplex points"
 
 
 @_register("gibbs_shift_invariance", "gibbs", 1e-12)
@@ -407,7 +416,7 @@ def _mil_equiv(rng, fault):
         pi = eah.token_posterior(sim, valid)
         eam = eah.expectation_map(sim, pi)
         scores = mil.mil_score(mil.instance_vectors(sim), pi)
-        worst = max(worst, float(np.abs(scores - eam.ravel()).max()))
+        worst = _worst(worst, float(np.abs(scores - eam.ravel()).max()))
     return worst, "instance scores equal the flattened expectation map"
 
 
@@ -423,7 +432,7 @@ def _mil_perm(rng, fault):
 def _mil_limits(rng, fault):
     scores = rng.normal(size=17)
     r = abs(mil.bag_logit(scores, 1) - scores.max())
-    r = max(r, abs(mil.bag_logit(scores, 17) - scores.mean()))
+    r = _worst(r, abs(mil.bag_logit(scores, 17) - scores.mean()))
     return r, "k = 1 is max pooling, k = N is mean pooling"
 
 
@@ -504,7 +513,7 @@ def _grad_full(rng, fault):
     worst = 0.0  # the CLI suite samples a few configs; the acceptance suite runs 20
     for case in find_gradcheck_cases(3, base_seed=int(rng.integers(0, 2**31))):
         err, _ = run_gradcheck_case(case)
-        worst = max(worst, err)
+        worst = _worst(worst, err)
     return worst, "analytic vs central differences on non-degenerate configs"
 
 
@@ -516,7 +525,7 @@ def _grad_pads(rng, fault):
     worst = 0.0
     for p, v in enumerate(case["valid"]):
         if (~v).any():
-            worst = max(worst, float(np.abs(bundle.d_tokens[p][~v]).max()))
+            worst = _worst(worst, float(np.abs(bundle.d_tokens[p][~v]).max()))
     return worst, "pad-token rows receive exactly zero gradient"
 
 

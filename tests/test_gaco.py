@@ -5,12 +5,14 @@ import pytest
 
 from expalign.errors import DimensionError, DomainError
 from expalign.gaco import (
+    STD_MODES,
     GacoConfig,
     advantage,
     confidence,
     gaco_backward,
     gaco_forward,
     joint_softmax,
+    log_joint_softmax,
     normalize_sim,
     region_stats,
 )
@@ -21,6 +23,55 @@ from expalign.gradients import finite_difference_gradient
 # loss = -(1/2) (
 #   -1 * log(1/4) + 1 * log(3/4)) = -(1/2) log 3
 CHAIN_VALUE = -0.5 * math.log(3.0)
+
+
+def gaco_forward_reference(up_map, masks, cfg, frozen_adv=None):
+    """The chain as a per-prompt loop over the full map: the confidence of every
+    cell, then each region's mean, std and advantage read from it.
+
+    Returns (loss, log_probs, conf, adv, stats), with conf over the whole map."""
+    z = normalize_sim(up_map, cfg.eps) if cfg.normalize else up_map
+    log_probs = log_joint_softmax(z)
+    if frozen_adv is not None:
+        conf, adv, stats = None, frozen_adv, (None,) * up_map.shape[0]
+    else:
+        conf = confidence(z)
+        adv = np.zeros_like(up_map)
+        stats = []
+        for p in range(up_map.shape[0]):
+            region = masks[p]
+            if not region.any():
+                stats.append(None)
+                continue
+            vals = conf[p][region]
+            mu = vals.mean()
+            var = np.mean((vals - mu) ** 2)
+            sigma = np.sqrt(var + cfg.eps) if cfg.std_mode == "population" else np.sqrt(var) + cfg.eps
+            stats.append((float(mu), float(sigma)))
+            adv[p, region] = np.clip((conf[p, region] - float(mu)) / float(sigma), -cfg.clip, cfg.clip)
+    denom = int(masks.sum())
+    loss = float(-(adv[masks] * log_probs[masks]).sum() / denom) if denom > 0 else 0.0
+    return loss, log_probs, conf, adv, tuple(stats)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def reference_masks(kind, rng, shape):
+    masks = np.zeros(shape, bool)
+    if kind == "mixed":  # random regions, one empty and one of a single cell
+        masks = rng.random(size=shape) < 0.4
+        masks[1] = False
+        masks[2] = False
+        masks[2, 3, 1] = True
+    elif kind == "single cells":
+        for p in range(shape[0]):
+            masks[p, rng.integers(shape[1]), rng.integers(shape[2])] = True
+    elif kind == "all masked":
+        masks[:] = True
+    return masks
 
 
 class TestNormalizeSim:
@@ -99,30 +150,30 @@ class TestConfidence:
 class TestRegionStats:
     def test_constant_region(self):
         r = np.full((3, 3), 0.4)
-        mu, sigma = region_stats(r, np.ones((3, 3), bool), eps=1e-8)
+        mu, sigma = region_stats(r, eps=1e-8)
         assert mu == 0.4 and abs(sigma - 1e-4) <= 1e-12
 
     def test_population_std(self):
-        mu, sigma = region_stats(np.array([0.2, 0.4, 0.6]), np.ones(3, bool), eps=1e-15)
+        mu, sigma = region_stats(np.array([0.2, 0.4, 0.6]), eps=1e-15)
         assert abs(mu - 0.4) <= 1e-15
         assert abs(sigma - math.sqrt(0.08 / 3)) <= 1e-9
         assert abs(sigma - 0.163299) <= 1e-6
 
     def test_single_element_region(self):
-        mu, sigma = region_stats(np.array([0.7, 0.1]), np.array([True, False]), eps=1e-6)
+        mu, sigma = region_stats(np.array([0.7]), eps=1e-6)
         assert mu == 0.7 and abs(sigma - 1e-3) <= 1e-12
 
     def test_empty_region_rejected(self):
         with pytest.raises(DomainError):
-            region_stats(np.ones(3), np.zeros(3, bool))
+            region_stats(np.ones(0))
 
     def test_unknown_std_mode_rejected(self):
         with pytest.raises(DomainError, match="std_mode must be one of"):
-            region_stats(np.ones(3), np.ones(3, bool), std_mode="sample")
+            region_stats(np.ones(3), std_mode="sample")
 
     def test_std_plus_eps_variant(self):
         vals = np.array([0.2, 0.4, 0.6])
-        _, sigma = region_stats(vals, np.ones(3, bool), eps=1e-3, std_mode="std_plus_eps")
+        _, sigma = region_stats(vals, eps=1e-3, std_mode="std_plus_eps")
         assert abs(sigma - (math.sqrt(0.08 / 3) + 1e-3)) <= 1e-12
 
 
@@ -160,7 +211,7 @@ class TestGacoLoss:
         res = gaco_forward(m, masks, GacoConfig(clip=3.0, eps=1e-12, normalize=False))
         assert abs(res.loss - CHAIN_VALUE) <= 1e-5
         np.testing.assert_allclose(np.exp(res.log_probs), [[[0.25, 0.75]]], atol=1e-12)
-        np.testing.assert_allclose(res.conf, [[[0.5, 0.75]]], atol=1e-12)
+        np.testing.assert_allclose(res.conf, [0.5, 0.75], atol=1e-12)
         np.testing.assert_allclose(res.adv, [[[-1.0, 1.0]]], atol=1e-5)
 
     def test_frozen_advantage_skips_confidence(self):
@@ -194,7 +245,42 @@ class TestChainProperties:
         res = gaco_forward(m, masks, cfg)
         z = m / (np.abs(m).max() + cfg.eps)
         np.testing.assert_allclose(np.exp(res.log_probs), joint_softmax(z), atol=1e-14)
-        np.testing.assert_allclose(res.conf, confidence(z), atol=1e-14)
+        np.testing.assert_allclose(res.conf, confidence(z)[masks], atol=1e-14)
+
+
+class TestMaskedChainBitwise:
+    """gaco_forward against the full-map per-prompt loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "single cells", "all masked", "nothing masked"])
+    @pytest.mark.parametrize("std_mode", STD_MODES)
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_full_map_loop(self, kind, std_mode, normalize):
+        rng = np.random.default_rng(31)
+        cfg = GacoConfig(clip=1.5, normalize=normalize, std_mode=std_mode)
+        for scale in (1e-3, 1.0, 8.0, 1e3):
+            m = rng.normal(size=(4, 7, 6)) * scale
+            masks = reference_masks(kind, rng, m.shape)
+            loss, log_probs, conf, adv, stats = gaco_forward_reference(m, masks, cfg)
+            res = gaco_forward(m, masks, cfg)
+            assert same_bits(res.loss, loss)
+            assert same_bits(res.log_probs, log_probs)
+            assert same_bits(res.conf, conf[masks])
+            assert same_bits(res.adv, adv)
+            assert res.stats == stats
+            assert res.denom == int(masks.sum())
+
+    @pytest.mark.parametrize("kind", ["mixed", "all masked", "nothing masked"])
+    def test_frozen_path_matches_full_map_loop(self, kind):
+        rng = np.random.default_rng(32)
+        m = rng.normal(size=(4, 7, 6)) * 3
+        masks = reference_masks(kind, rng, m.shape)
+        frozen = rng.normal(size=m.shape)  # nonzero outside the masks too
+        loss, log_probs, _, _, stats = gaco_forward_reference(m, masks, GacoConfig(), frozen_adv=frozen)
+        res = gaco_forward(m, masks, GacoConfig(), frozen_adv=frozen)
+        assert same_bits(res.loss, loss)
+        assert same_bits(res.log_probs, log_probs)
+        assert res.conf is None and res.stats == stats
+        assert same_bits(res.adv, frozen)
 
 
 class TestGacoBackward:

@@ -7,9 +7,13 @@ bindings or attributes fail the test suite, not a benchmark run.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from expalign import fusion, gaco, gradients, semantic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +52,24 @@ def test_head_check_runs_on_each_workload(workload):
     run = jobs.Run()
     jobs.check_head(run, *args, workload)
     assert (run.attempted, run.failed) == (1, 0), run.problems
+
+
+def test_traced_bindings_are_called_by_attribute(monkeypatch):
+    # the tracer counts gaco.regions through gaco.region_stats and top-k work
+    # through semantic.topk_select, and times the fusion and gaco_forward where
+    # gradients.forward looks them up
+    calls = Counter()
+    for module, attr in ((gaco, "region_stats"), (semantic, "topk_select"), (fusion, "fuse_down"),
+                         (fusion, "fuse_up"), (gradients, "gaco_forward")):
+        def counted(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    rng = np.random.default_rng(0)
+    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
+    tokens = [rng.normal(size=(2, 3)) for _ in range(3)]
+    masks = np.zeros((3, 8, 8), dtype=bool)
+    masks[0, 1:4, 2:5] = True
+    masks[2, 6, 6] = True  # prompt 1 has no region
+    gradients.forward(features, tokens, masks, [0])
+    assert calls == {"region_stats": 2, "topk_select": 3, "fuse_down": 1, "fuse_up": 1, "gaco_forward": 1}

@@ -73,3 +73,25 @@ def test_planted_fault_fails_its_group(monkeypatch, group):
     module, attribute, plant = PLANTED[group]
     monkeypatch.setattr(module, attribute, plant(getattr(module, attribute)))
     assert any(failures(verify.run_suite(groups=[group], seed=seed)) for seed in SEEDS)
+
+
+def _posterior_shifted_by_min(sim, valid, tau_t=1.0):
+    """eah.token_posterior with the max shift replaced by a min shift: a cold
+    temperature overflows exp and the posterior turns to NaN."""
+    sim = np.asarray(sim, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    sbar = sim.mean(axis=(0, 1))
+    logits = sbar[valid] / tau_t
+    expv = np.exp(logits - logits.min())
+    weights = np.zeros_like(sbar)
+    weights[valid] = expv / expv.sum()
+    return weights
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # a fold with Python's max(worst, nan) keeps worst, so this mutant passed
+    monkeypatch.setattr(eah, "token_posterior", _posterior_shifted_by_min)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = verify.run_suite(groups=["eah"], seed=0)
+    limits = next(r for r in results if r.name == "eah_temperature_limits")
+    assert not limits.passed and np.isnan(limits.residual)
