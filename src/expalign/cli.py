@@ -82,8 +82,8 @@ def build_parser():
                                     ("mil", ("mil",), "instance-pooling equivalence checks"),
                                     ("gradcheck", ("grad",), "analytic vs finite-difference gradients")):
         p = add_command(name, help_text, run=cmd_suite, groups=groups)
-        p.add_argument("--inject-fault", dest="fault", choices=verify.KNOWN_FAULTS, default=None,
-                       help="mutation sanity check: corrupt the suite's geometry-loss evaluator")
+        p.add_argument("--inject-fault", dest="fault", choices=sorted(verify.FAULTS), default=None,
+                       help="mutation sanity check: run with a named library fault planted")
 
     p_demo = add_command("demo", "train the synthetic benchmark and report accuracies", run=cmd_demo)
     p_demo.add_argument("--seeds", type=_parse_seeds, default=None,

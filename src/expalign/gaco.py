@@ -169,9 +169,10 @@ def gaco_backward(res, up_map, cfg, g_loss):
     g_z *= g_loss
     if not cfg.normalize:
         return g_z
-    d = float(np.abs(up_map).max() + cfg.eps)
+    abs_up = np.abs(up_map)
+    d = float(abs_up.max() + cfg.eps)
     g_up = g_z / d
-    a_star = int(np.argmax(np.abs(up_map)))
+    a_star = int(np.argmax(abs_up))
     sign = 1.0 if up_map.ravel()[a_star] >= 0 else -1.0
     # divide by d twice: d**2 overflows once d passes about 1e154
     g_up.ravel()[a_star] -= sign * (float((g_z * up_map).sum()) / d) / d

@@ -292,6 +292,10 @@ def objective_fd_gradients(features, tokens, masks, positives,
 
 def relative_gradient_error(analytic, numeric, floor=1e-8):
     """Max per-coordinate |a - n| / max(|a|, |n|, floor) over matching bundles; NaN if any is NaN."""
+    shapes = [([np.shape(g) for g in b.d_features], [np.shape(g) for g in b.d_tokens])
+              for b in (analytic, numeric)]
+    if shapes[0] != shapes[1]:
+        raise DimensionError(f"gradient bundles differ in count or shape: {shapes[0]} against {shapes[1]}")
     errors = [0.0]
     pairs = list(zip(analytic.d_features, numeric.d_features))
     pairs += list(zip(analytic.d_tokens, numeric.d_tokens))
@@ -310,12 +314,12 @@ def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
     """
     margins = {}
     flat = tr.dw.reshape(tr.dw.shape[0], -1)
-    cut = np.inf
-    for p in range(flat.shape[0]):
-        v = np.sort(flat[p])[::-1]
-        if tr.k < v.size:
-            cut = min(cut, float(v[tr.k - 1] - v[tr.k]))
-    margins["topk"] = cut
+    n, k = flat.shape[1], tr.k
+    if k < n:  # each prompt's k-th largest value minus its (k+1)-th; k = N has no cut
+        part = np.partition(flat, (n - k - 1, n - k), axis=1)
+        margins["topk"] = float(np.min(part[:, n - k] - part[:, n - k - 1]))
+    else:
+        margins["topk"] = np.inf
 
     clip_margin = np.inf
     for st, (start, stop) in zip(tr.gaco.stats, mask_segments(tr.gaco.masks)[1]):
@@ -327,14 +331,15 @@ def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
         clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin
 
-    token_margin = np.inf
-    for s in range(3):
-        for p in range(tr.tok_stack.shape[0]):
-            vals = np.sort(tr.sbars[s][p][tr.valid_stack[p]])[::-1]
-            if vals.size > 1:
-                token_margin = min(token_margin, float(vals[0] - vals[1]))
-    margins["token_argmax"] = token_margin
-
-    a = np.sort(np.abs(tr.up).ravel())[::-1]
-    margins["norm_argmax"] = float(a[0] - a[1]) if a.size > 1 else np.inf
+    margins["token_argmax"] = min((_top_two_gap(tr.sbars[s][p][tr.valid_stack[p]])
+                                   for s in range(3) for p in range(tr.tok_stack.shape[0])), default=np.inf)
+    margins["norm_argmax"] = _top_two_gap(np.abs(tr.up).ravel())
     return margins
+
+
+def _top_two_gap(v):
+    """Largest value of a 1-D array minus the second largest, or inf below two values."""
+    if v.size < 2:
+        return np.inf
+    top = np.partition(v, v.size - 2)  # the second largest at v.size - 2, so the largest after it
+    return float(top[-1] - top[-2])

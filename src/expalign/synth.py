@@ -188,6 +188,9 @@ def fine_maps(scene, token_delta=None, tau_t=1.0):
     per-prompt token perturbation, such as a trained demo delta."""
     tvals = [t.embeddings for t in scene.tokens]
     if token_delta is not None:
+        if len(token_delta) != len(tvals) or any(np.shape(d) != t.shape for t, d in zip(tvals, token_delta)):
+            raise DimensionError(f"token_delta needs one (L, C) entry per prompt, shaped "
+                                 f"{[t.shape for t in tvals]}; got {[np.shape(d) for d in token_delta]}")
         tvals = [t + d for t, d in zip(tvals, token_delta)]
     return fused_maps([f.values for f in scene.features], tvals, tau_t, [t.valid for t in scene.tokens])[1]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from expalign import cli, verify
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "worked_example_scene.json"
@@ -129,6 +130,16 @@ class TestVerifyCommand:
         report = json.loads(res.stdout)
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed == {"gaco_worked_example", "gaco_gradient_sign"}
+
+    @pytest.mark.parametrize("command", ["verify", "gibbs", "mil", "gradcheck"])
+    def test_every_fault_parses(self, command):
+        for fault in verify.FAULTS:
+            assert cli.build_parser().parse_args([command, "--inject-fault", fault]).fault == fault
+
+    def test_fault_choices_are_the_fault_table(self):
+        subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        option = next(a for a in subcommands.choices["verify"]._actions if a.dest == "fault")
+        assert option.choices == sorted(verify.FAULTS)
 
     def test_subcommand_filters(self, tmp_path):
         for name, group in (("gibbs", "gibbs"), ("mil", "mil"), ("gradcheck", "grad")):

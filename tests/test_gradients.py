@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ class TestFullGradients:
         fd = objective_fd_gradients(features, toks, masks, [0], token_valid=valid)
         assert not fd.d_tokens[0][~valid[0]].any()
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: replace(b, d_tokens=b.d_tokens[:1]),
+        lambda b: replace(b, d_features=b.d_features[:2]),
+        lambda b: replace(b, d_tokens=[t[:1] for t in b.d_tokens]),
+    ], ids=["missing-prompt", "missing-scale", "fewer-tokens"])
+    def test_relative_error_rejects_mismatched_bundles(self, corrupt):
+        features, toks, valid, masks = small_problem(12, tokens=2)
+        bundle = objective_with_gradients(features, toks, masks, [0], token_valid=valid)
+        with pytest.raises(DimensionError):
+            relative_gradient_error(bundle, corrupt(bundle))
+        with pytest.raises(DimensionError):
+            relative_gradient_error(corrupt(bundle), bundle)
+
     def test_ragged_token_counts_supported(self):
         rng = np.random.default_rng(7)
         features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
@@ -204,6 +218,32 @@ class TestNondegeneracyScreen:
         margins = nondegeneracy_margins(tr)
         assert set(margins) == {"topk", "clip", "token_argmax", "norm_argmax"}
         assert all(np.isfinite(v) or v == np.inf for v in margins.values())
+
+    @staticmethod
+    def sorted_margins(tr):
+        """The top-k, token and normalizer margins read off full descending sorts."""
+        desc = lambda v: np.sort(v)[::-1]
+        gap = lambda v, i: float(v[i - 1] - v[i]) if i < v.size else np.inf
+        return {"topk": min(gap(desc(v), tr.k) for v in tr.dw.reshape(tr.dw.shape[0], -1)),
+                "token_argmax": min(gap(desc(s[p][tr.valid_stack[p]]), 1)
+                                    for s in tr.sbars for p in range(len(s))),
+                "norm_argmax": gap(desc(np.abs(tr.up).ravel()), 1)}
+
+    def test_selection_matches_sorted_form_bitwise(self):
+        traces = []
+        for seed in range(5):
+            features, toks, valid, masks = small_problem(seed, prompts=3, h3=16)
+            tr = forward(features, toks, masks, [0], token_valid=valid)
+            traces += [tr, replace(tr, k=tr.dw[0].size),  # k = N: no cut
+                       replace(tr, dw=np.round(tr.dw * 4) / 4, up=np.round(tr.up * 4) / 4,  # ties
+                               sbars=[np.round(s * 4) / 4 for s in tr.sbars])]
+        features, toks, _, masks = small_problem(5, prompts=1, tokens=1, h3=4)
+        tr = forward(features, toks, masks, [0])  # one coarse cell and one token
+        traces += [tr, replace(tr, up=tr.up[:, :1, :1])]  # one fine cell
+        for tr in traces:
+            margins, expected = nondegeneracy_margins(tr), self.sorted_margins(tr)
+            assert {key: margins[key] for key in expected} == expected
+        assert any(nondegeneracy_margins(tr)["topk"] == 0.0 for tr in traces)  # a tie at the cut
 
     def test_sampler_rejects_tied_cases(self):
         # a constant map ties everything; margins must flag it

@@ -125,6 +125,12 @@ class TestLocalizationAccuracy:
                 for s in range(30)]
         assert np.mean(accs) >= 0.9
 
+    @pytest.mark.parametrize("shape", [(2, 4, 16), (4, 3, 16), (4, 4, 15), (4, 16)])
+    def test_token_delta_needs_one_entry_per_prompt(self, shape):
+        scene = generate_scene(benchmark_spec(0))  # 4 prompts of (4, 16) tokens
+        with pytest.raises(DimensionError, match="token_delta"):
+            localization_accuracy(scene, np.zeros(shape))
+
     def test_no_masks_rejected(self):
         scene = generate_scene(benchmark_spec(0))
         empty = scene.masks & False
