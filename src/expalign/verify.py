@@ -7,19 +7,25 @@ compared against an independent oracle (loop evaluation, sort, closed form,
 finite differences).
 
 FAULTS is the mutation sanity check: a table of named library faults. Each
-row holds the check group the fault must fail and its patches
-(module, attribute, plant). run_suite(fault=name) replaces each attribute by
-plant(original) for the run and restores the original in a finally, so a
-check that raises leaves the library unpatched. A new mutant is one row.
+row holds the check group the fault must fail and its edits
+(function, old, new), each a one-line edit of the library's own source.
+run_suite(fault=name) compiles each function's source with the one occurrence
+of old replaced by new and swaps the result in as the function's __code__, so
+every binding of the function, by-name imports included, runs the fault; the
+original code is restored in a finally, so a check that raises leaves the
+library unfaulted. Sources are read only when a fault is planted. A new
+mutant is one row.
 """
 
+import inspect
 import math
-import sys
-from dataclasses import dataclass, replace
+import types
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import eah, fusion, gaco, mil, semantic, variational
+from . import eah, fusion, gaco, gradients, mil, semantic, variational
+from .errors import DomainError
 from .gradients import (
     ObjectiveConfig,
     finite_difference_gradient,
@@ -464,8 +470,8 @@ def _grad_fe(rng):
     return float(np.abs(proj(analytic) - proj(numeric)).max()), "projected free-energy gradient"
 
 
-def sample_gradcheck_case(seed):
-    """One random objective configuration, or None if it violates the margins."""
+def sample_gradcheck_case(seed, cfg=ObjectiveConfig()):
+    """One random objective input under cfg, or None if it violates the margins."""
     rng = np.random.default_rng(seed)
     c, h3 = 3, 8
     features = [rng.normal(size=(c, h3 // f, h3 // f)) for f in (1, 2, 4)]
@@ -476,7 +482,6 @@ def sample_gradcheck_case(seed):
         top, left = rng.integers(0, 5, size=2)
         masks[p, top:top + 3, left:left + 3] = True
     positives = [0] if rng.random() < 0.5 else [0, 1]
-    cfg = ObjectiveConfig()
     tr = forward(features, tokens, masks, positives, cfg, valid)
     margins = nondegeneracy_margins(tr, cfg)
     if min(margins.values()) < GRADCHECK_MARGIN:
@@ -485,11 +490,11 @@ def sample_gradcheck_case(seed):
             "masks": masks, "positives": positives, "cfg": cfg}
 
 
-def find_gradcheck_cases(count, base_seed=1000):
-    """Deterministically scan seeds until `count` non-degenerate cases are found."""
+def find_gradcheck_cases(count, base_seed=1000, cfg=ObjectiveConfig()):
+    """Deterministically scan seeds until `count` non-degenerate cases under cfg are found."""
     cases, seed = [], base_seed
     while len(cases) < count:
-        case = sample_gradcheck_case(seed)
+        case = sample_gradcheck_case(seed, cfg)
         if case is not None:
             cases.append(case)
         seed += 1
@@ -525,75 +530,128 @@ def _grad_pads(rng):
     return worst, "pad-token rows receive exactly zero gradient"
 
 
+# ----------------------------------------------------- registered last
+# These checks come after every other one, so that the (seed, index) RNG
+# streams of the checks above stay as they were.
+
+@_register("sem_topk_tie_rule", "sem", 0.0)
+def _sem_ties(rng):
+    m = rng.integers(0, 4, size=(4, 6)).astype(np.float64)  # many ties
+    values = m.ravel().tolist()
+    by_rank = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    mismatches = 0
+    for k in range(1, len(values) + 1):
+        mismatches += int((semantic.topk_select(m, k) != sorted(by_rank[:k])).sum())
+    return float(mismatches), "ties keep the lowest index: the first k of a sort on (-value, index)"
+
+
+@_register("gaco_region_stats_closed_forms", "gaco", 1e-12)
+def _gaco_stats(rng):
+    eps = 0.1  # large enough that eps inside and outside the root differ
+    worst = 0.0
+    for size in rng.integers(1, 13, size=3):
+        vals = rng.random(size=int(size))  # confidences lie in (0, 1)
+        var = float(np.var(vals))
+        for std_mode, sigma in (("population", math.sqrt(var + eps)), ("std_plus_eps", math.sqrt(var) + eps)):
+            mu, got = gaco.region_stats(vals, eps, std_mode)
+            worst = _worst(worst, abs(mu - float(np.mean(vals))), abs(got - sigma))
+    return worst, "sqrt(var + eps) and sqrt(var) + eps at eps = 0.1"
+
+
+def _directional_error(case, rng, h=1e-4):
+    """Analytic directional derivatives of the objective along the gradient and
+    two random directions against central differences with the advantage
+    frozen at the base point, relative to the gradient's norm."""
+    args = (case["masks"], case["positives"], case["cfg"], case["valid"])
+    points = case["features"] + case["tokens"]
+    tr = forward(case["features"], case["tokens"], *args)
+    bundle = gradients.backward(tr, case["cfg"])
+    g = np.concatenate([d.ravel() for d in bundle.d_features + bundle.d_tokens])
+    gnorm = float(np.linalg.norm(g))
+    dirs = np.vstack([g / gnorm, rng.normal(size=(2, g.size))])
+    dirs[1:] /= np.linalg.norm(dirs[1:], axis=1, keepdims=True)
+    splits = np.cumsum([np.size(p) for p in points])[:-1]
+
+    def value(t):
+        moved = [p + d.reshape(p.shape) for p, d in zip(points, np.split(t @ dirs, splits))]
+        return forward(moved[:3], moved[3:], *args, frozen_adv=tr.gaco.adv).total
+
+    numeric = finite_difference_gradient(value, np.zeros(len(dirs)), h)
+    return float(np.abs(numeric - dirs @ g).max()) / gnorm
+
+
+@_register("grad_config_sweep", "grad", 1e-6)
+def _grad_sweep(rng):
+    # at the default config tau_t = 1 and k = 1 on these inputs, which hides a
+    # dropped / tau_t or a top-k gradient put on one cell
+    worst = 0.0
+    for normalize in (True, False):
+        for std_mode in gaco.STD_MODES:
+            cfg = ObjectiveConfig(tau_t=0.5, tau=0.4, topk_ratio=0.05,
+                                  gaco=gaco.GacoConfig(eps=0.1, normalize=normalize, std_mode=std_mode))
+            case = find_gradcheck_cases(1, base_seed=int(rng.integers(0, 2**31)), cfg=cfg)[0]
+            worst = _worst(worst, _directional_error(case, rng))
+    return worst, "directional derivatives at tau_t, tau, k and eps off their defaults"
+
+
+@_register("eah_map_loop_oracle", "eah", 1e-12)
+def _eah_map_loop(rng):
+    sim = rng.normal(size=(5, 6, 4))
+    pi = rng.dirichlet(np.ones(4))
+    expected = sum(pi[l] * sim[:, :, l] for l in range(4))
+    return float(np.abs(eah.expectation_map(sim, pi) - expected).max()), "sum_l pi_l * sim[:, :, l] as a loop"
+
+
 # ---------------------------------------------------------------- faults
 
-def _offset(fn, delta):
-    return lambda *args, **kwargs: fn(*args, **kwargs) + delta
-
-
-def _scaled(fn, factor):
-    return lambda *args, **kwargs: fn(*args, **kwargs) * factor
-
-
-def _negated_loss(gaco_forward):
-    def wrong(*args, **kwargs):
-        res = gaco_forward(*args, **kwargs)
-        return replace(res, loss=-res.loss)
-    return wrong
-
-
-def _max_pool(m):
-    h, w = m.shape[-2:]
-    return m.reshape(*m.shape[:-2], h // 2, 2, w // 2, 2).max(axis=(-3, -1))
-
-
-def _clip_top_loose(r, mu, sigma, clip=3.0):
-    return np.clip((np.asarray(r, dtype=np.float64) - mu) / sigma, -clip, 1.1 * clip)
-
-
-def _tau_off(closed_form):
-    return lambda prob: closed_form(replace(prob, tau=prob.tau ** 0.999))
-
-
-def _posterior_shifted_by_min(sim, valid, tau_t=1.0):
-    """eah.token_posterior with the max shift replaced by a min shift: a cold
-    temperature overflows exp and the posterior turns to NaN."""
-    logits = sim.mean(axis=(0, 1))[valid] / tau_t
-    expv = np.exp(logits - logits.min())
-    weights = np.zeros(valid.shape)
-    weights[valid] = expv / expv.sum()
-    return weights
-
-
-# name -> (group it must fail, patches). gaco-sign patches module gaco's own
-# bindings, not gradients' by-name ones. Every eah check compares two maps or
-# sits at 1e-5, so the eah map is scaled (an additive 1e-9 would pass), and
-# gaco_bounds sees the loose clip only at seeds whose draw reaches the clip.
+# name -> (group it must fail, edits (function, old, new)). gaco_bounds sees
+# the loose clip only at seeds whose draw reaches the clip.
 FAULTS = {
-    "gaco-sign": ("gaco", ((gaco, "gaco_forward", _negated_loss),
-                           (gaco, "gaco_backward", lambda f: _scaled(f, -1.0)))),
-    "fusion-max-pool": ("fusion", ((fusion, "downsample2x", lambda _: _max_pool),)),
-    "eah-map-scaled-1e-9": ("eah", ((eah, "expectation_map", lambda f: _scaled(f, 1 + 1e-9)),)),
-    "eah-shift-by-min": ("eah", ((eah, "token_posterior", lambda _: _posterior_shifted_by_min),)),
-    "sem-offset-1e-9": ("sem", ((semantic, "infonce_multi_positive", lambda f: _offset(f, 1e-9)),)),
-    "gaco-clip-top-1.1": ("gaco", ((gaco, "advantage", lambda _: _clip_top_loose),)),
-    "gibbs-tau-pow-0.999": ("gibbs", ((variational, "gibbs_closed_form", _tau_off),)),
-    "mil-score-offset-1e-9": ("mil", ((mil, "mil_score", lambda f: _offset(f, 1e-9)),)),
-    "fd-scaled-1e-6": ("grad", ((sys.modules[__name__], "finite_difference_gradient",
-                                 lambda f: _scaled(f, 1 + 1e-6)),)),
+    "gaco-sign": ("gaco", ((gaco.gaco_forward, "loss = float(-(", "loss = float(("),
+                           (gaco.gaco_backward, "g_z = -(", "g_z = ("))),
+    "fusion-max-pool": ("fusion", ((fusion.downsample2x, "return ((a00 + a01) + (a10 + a11)) / 4.0",
+                                    "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
+    "eah-map-scaled-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) * (1 + 1e-9)"),)),
+    "eah-map-offset-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) + 1e-9"),)),
+    "eah-shift-by-min": ("eah", ((eah.token_posterior, "logits.max()", "logits.min()"),)),
+    "sem-offset-1e-9": ("sem", ((semantic.infonce_multi_positive, "+ 0.0)", "+ 1e-9)"),)),
+    "sem-topk-ties-high": ("sem", ((semantic.topk_select, "np.argsort(-values, ",
+                                    "values.size - 1 - np.argsort(-values[::-1], "),)),
+    "gaco-clip-top-1.1": ("gaco", ((gaco.advantage, "-clip, clip)", "-clip, 1.1 * clip)"),)),
+    "gaco-std-eps-outside": ("gaco", ((gaco.region_stats, "np.sqrt(var + eps)", "np.sqrt(var) + eps"),)),
+    "gibbs-tau-pow-0.999": ("gibbs", ((variational.gibbs_closed_form, "/ prob.tau", "/ prob.tau ** 0.999"),)),
+    "mil-score-offset-1e-9": ("mil", ((mil.mil_score, "instances @ weights", "instances @ weights + 1e-9"),)),
+    "fd-scaled-1e-6": ("grad", ((finite_difference_gradient, "grad.reshape(point.shape)",
+                                 "grad.reshape(point.shape) * (1 + 1e-6)"),)),
+    "grad-dsbar-no-tau": ("grad", ((gradients.backward, "pi / cfg.tau_t * (", "pi * ("),)),
+    "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
+                                     "flat[p, sel[0]] = d_logit[p]"),)),
 }
 
 
+def _edited_code(function, old, new):
+    """The code of function's source with its one occurrence of old replaced by new."""
+    source = inspect.getsource(function)
+    if source.count(old) != 1:
+        raise ValueError(f"{function.__qualname__}: {old!r} occurs {source.count(old)} times, not once")
+    code = function.__code__
+    padding = "\n" * (code.co_firstlineno - 1)  # tracebacks keep the file's line numbers
+    module = compile(padding + source.replace(old, new), code.co_filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
 def run_suite(groups=None, seed=0, fault=None):
-    """Run the registered checks, with the named fault's patches applied if
+    """Run the registered checks, with the named fault's edits planted if
     fault is given; results are ordered by registry index."""
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
-    patches = FAULTS[fault][1] if fault is not None else ()
-    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
+    target, edits = FAULTS[fault] if fault is not None else (None, ())
+    if fault is not None and groups is not None and target not in groups:
+        raise DomainError(f"fault {fault!r} must fail group {target!r}, which groups {list(groups)} leave out")
+    originals = [(function, function.__code__) for function, _, _ in edits]
     try:
-        for module, attr, plant in patches:
-            setattr(module, attr, plant(getattr(module, attr)))
+        for function, old, new in edits:
+            function.__code__ = _edited_code(function, old, new)
         results = []
         for i, (name, group, tol, fn) in enumerate(_CHECKS):
             if groups is not None and group not in groups:
@@ -603,6 +661,6 @@ def run_suite(groups=None, seed=0, fault=None):
             results.append(CheckResult(name=name, group=group, passed=bool(residual <= tol),
                                        residual=float(residual), tolerance=float(tol), detail=detail))
     finally:
-        for module, attr, original in reversed(originals):
-            setattr(module, attr, original)
+        for function, code in originals:
+            function.__code__ = code
     return results

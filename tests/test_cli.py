@@ -131,6 +131,12 @@ class TestVerifyCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed == {"gaco_worked_example", "gaco_gradient_sign"}
 
+    def test_fault_outside_the_subcommand_groups_rejected(self, tmp_path):
+        res = run_cli(["mil", "--inject-fault", "gaco-sign"], cwd=tmp_path)
+        assert res.returncode == 2, res.stdout
+        assert res.stderr.startswith("error: fault 'gaco-sign'") and "'gaco'" in res.stderr
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("command", ["verify", "gibbs", "mil", "gradcheck"])
     def test_every_fault_parses(self, command):
         for fault in verify.FAULTS:

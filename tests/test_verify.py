@@ -7,10 +7,14 @@ once, as a check in `expalign.verify`; this module runs them. Each fault of
 `verify.FAULTS` shows that its group can fail within the seeds tier-1 runs.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from expalign import verify
+from conftest import run_python
+from expalign import gradients, verify
+from expalign.errors import DomainError
 
 GROUPS = sorted({group for _, group, _, _ in verify._CHECKS})
 SEEDS = range(10)
@@ -53,19 +57,54 @@ def test_unknown_fault_rejected():
         verify.run_suite(groups=["fusion"], fault="no-such-fault")
 
 
+def test_fault_outside_the_selected_groups_rejected():
+    # planted, but no check that runs could see it, so the run would read as a pass
+    with pytest.raises(DomainError, match="'gaco'"):
+        verify.run_suite(groups=["mil"], fault="gaco-sign")
+
+
+@pytest.mark.parametrize("fault", sorted(verify.FAULTS))
+def test_fault_edits_match_their_source_once(fault):
+    # read without planting, so a refactor that moves a mutated line fails here, naming the row
+    for function, old, _ in verify.FAULTS[fault][1]:
+        assert inspect.getsource(function).count(old) == 1, f"{function.__qualname__}: {old!r}"
+
+
+def test_gaco_sign_reaches_by_name_imports(monkeypatch):
+    # gradients imports gaco_forward by name; the planted code reaches that binding too
+    case = verify.find_gradcheck_cases(1, base_seed=4000)[0]
+    args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+    l_geo = lambda rng: (gradients.objective(*args).l_geo, "")
+    monkeypatch.setattr(verify, "_CHECKS", [("l_geo", "gaco", np.inf, l_geo)])
+    clean = l_geo(None)[0]
+    assert clean != 0.0
+    assert verify.run_suite(fault="gaco-sign")[0].residual == -clean
+
+
+def test_import_reads_no_source(tmp_path):
+    # perfbench's setup_s times this import: sources are read only when a fault is planted
+    probe = ("import inspect\n"
+             "calls = []\n"
+             "inspect.getsource = lambda *args, **kwargs: calls.append(args)\n"
+             "import expalign.verify\n"
+             "assert not calls, calls\n")
+    res = run_python(["-c", probe], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+
+
 def _raises(rng):
     raise RuntimeError("check crashed")
 
 
 @pytest.mark.parametrize("fault", sorted(verify.FAULTS))
 def test_faulted_run_restores_every_patched_attribute(monkeypatch, fault):
-    group, patches = verify.FAULTS[fault]
-    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
+    group, edits = verify.FAULTS[fault]
+    originals = [(function, function.__code__) for function, _, _ in edits]
     faulted_run(fault, groups=[group], seed=0)
-    assert all(getattr(module, attr) is original for module, attr, original in originals)
+    assert all(function.__code__ is code for function, code in originals)
     # a check that raises after the first one ran
     monkeypatch.setattr(verify, "_CHECKS", [verify._CHECKS[0], ("raises", "fusion", 0.0, _raises),
                                             *verify._CHECKS[1:]])
     with pytest.raises(RuntimeError, match="check crashed"):
         faulted_run(fault, seed=0)
-    assert all(getattr(module, attr) is original for module, attr, original in originals)
+    assert all(function.__code__ is code for function, code in originals)
