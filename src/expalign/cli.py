@@ -43,21 +43,27 @@ def _parse_seeds(text):
 
 
 def build_parser():
+    """One subparser per command, holding only the flags its handler reads; no
+    flag may be abbreviated, so a prefix never lands on a different flag."""
     parser = argparse.ArgumentParser(
-        prog="expalign",
+        prog="expalign", allow_abbrev=False,
         description="Alignment-map losses, property suites, gradient checks, and a synthetic training demo.",
     )
     parser.add_argument("--version", action="version", version=f"expalign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text, **defaults):
-        """A subcommand with the common flags; defaults name its handler as run."""
-        p = sub.add_parser(name, help=help_text)
+    def add_command(name, help_text, seed=True, **defaults):
+        """A subcommand with the report flags; defaults name its handler as run."""
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(**defaults)
         p.add_argument("--config", metavar="PATH", help="JSON file with hyperparameter defaults")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
         p.add_argument("--json", action="store_true", help="machine-readable JSON to stdout")
         p.add_argument("--out", metavar="PATH", help="also write the JSON report to this file")
+        return p
+
+    def add_hyperparameters(p):
         hp = p.add_argument_group("hyperparameters")
         hp.add_argument("--tau-t", dest="tau_t", type=float, default=None, help="token-posterior temperature")
         hp.add_argument("--tau", type=float, default=None, help="contrastive temperature")
@@ -71,9 +77,9 @@ def build_parser():
         hp.add_argument("--no-normalize-sim", dest="normalize_sim", action="store_false",
                         help="use the raw fine map in the geometry chain")
         hp.add_argument("--std-mode", dest="std_mode", choices=("population", "std_plus_eps"), default=None)
-        return p
 
     p_loss = add_command("loss", "evaluate the losses on a scene file or a synthetic scene", run=cmd_loss)
+    add_hyperparameters(p_loss)
     p_loss.add_argument("--scene", metavar="PATH", help="scene JSON (default: synthetic from --seed)")
     p_loss.add_argument("--signal", type=float, default=None, help="synthetic signal strength")
 
@@ -85,7 +91,8 @@ def build_parser():
         p.add_argument("--inject-fault", dest="fault", choices=sorted(verify.FAULTS), default=None,
                        help="mutation sanity check: run with a named library fault planted")
 
-    p_demo = add_command("demo", "train the synthetic benchmark and report accuracies", run=cmd_demo)
+    p_demo = add_command("demo", "train the synthetic benchmark and report accuracies", seed=False, run=cmd_demo)
+    add_hyperparameters(p_demo)
     p_demo.add_argument("--seeds", type=_parse_seeds, default=None,
                         help="comma-separated scene seeds (default: the frozen benchmark set)")
     p_demo.add_argument("--steps", type=int, default=None)
@@ -95,6 +102,7 @@ def build_parser():
     p_demo.add_argument("--heatmap-dir", default="heatmaps", metavar="DIR")
 
     p_heat = add_command("heatmap", "export per-prompt fine fused maps as PGM files", run=cmd_heatmap)
+    p_heat.add_argument("--tau-t", dest="tau_t", type=float, default=None, help="token-posterior temperature")
     p_heat.add_argument("--scene", metavar="PATH", help="scene JSON (default: synthetic from --seed)")
     p_heat.add_argument("--signal", type=float, default=None)
     p_heat.add_argument("--out-dir", default="heatmaps", metavar="DIR")
@@ -133,7 +141,8 @@ def _has_type(value, kind):
 
 
 def resolve_settings(args):
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; returns the settings and the
+    objective config built from them, so every command checks its hyperparameters."""
     base = synth.benchmark_config()
     settings = {
         "tau_t": base.tau_t, "tau": base.tau,
@@ -155,11 +164,7 @@ def resolve_settings(args):
         raise DomainError(f"seed must be nonnegative, got {settings['seed']}")
     if not settings["seeds"] or min(settings["seeds"]) < 0:
         raise DomainError(f"seeds must be a nonempty list of nonnegative integers, got {settings['seeds']}")
-    return settings
-
-
-def objective_config(settings):
-    return ObjectiveConfig(
+    return settings, ObjectiveConfig(
         lambda_sem=settings["lambda_sem"], lambda_geo=settings["lambda_geo"],
         tau_t=settings["tau_t"], tau=settings["tau"], topk_ratio=settings["k_ratio"],
         gaco=GacoConfig(clip=settings["clip"], eps=settings["eps"],
@@ -168,9 +173,7 @@ def objective_config(settings):
 
 
 def config_echo(settings):
-    echo = {k: settings[k] for k in sorted(settings)}
-    echo["rng"] = RNG_NAME
-    return echo
+    return {**settings, "rng": RNG_NAME}  # emit sorts the keys
 
 
 def _json_default(value):
@@ -195,16 +198,19 @@ def emit(report, args, human_lines=None):
 
 def _load_scene(args, settings):
     if args.scene:
+        unread = [f"--{key}" for key in ("seed", "signal") if getattr(args, key) is not None]
+        if unread:
+            raise DomainError(f"{' and '.join(unread)} would not be read: --scene gives the scene")
         return sceneio.read_scene(args.scene), {"source": "file", "path": args.scene}
     spec = SceneSpec(seed=settings["seed"], signal=settings["signal"])
     return synth.generate_scene(spec), {"source": "synthetic", "seed": settings["seed"],
                                         "signal": settings["signal"]}
 
 
-def cmd_loss(args, settings):
+def cmd_loss(args, settings, cfg):
     scene, source = _load_scene(args, settings)
     val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
-                    scene.masks, scene.positives, objective_config(settings), [t.valid for t in scene.tokens])
+                    scene.masks, scene.positives, cfg, [t.valid for t in scene.tokens])
     bad = [name for name in ("l_sem", "l_geo", "total") if not np.isfinite(getattr(val, name))]
     if bad:
         raise DomainError(f"non-finite loss terms: {', '.join(bad)}")
@@ -222,8 +228,9 @@ def cmd_loss(args, settings):
     return EXIT_OK
 
 
-def cmd_suite(args, settings):
-    """verify, gibbs, mil and gradcheck: the suite restricted to args.groups."""
+def cmd_suite(args, settings, cfg):
+    """verify, gibbs, mil and gradcheck: the suite restricted to args.groups; its
+    checks fix their own hyperparameters, so cfg was only checked."""
     results = verify.run_suite(groups=args.groups, seed=settings["seed"], fault=args.fault)
     all_passed = all(r.passed for r in results)
     report = {
@@ -242,8 +249,7 @@ def cmd_suite(args, settings):
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_demo(args, settings):
-    cfg = objective_config(settings)
+def cmd_demo(args, settings, cfg):
     bench = synth.run_benchmark(settings["seeds"], settings["steps"], settings["lr"],
                                 settings["signal"], cfg)
     report = {
@@ -267,12 +273,12 @@ def _export_scene_heatmaps(scene, cfg, out_dir, token_delta=None):
     return {"dir": out_dir, "maps": sidecar["maps"]}
 
 
-def cmd_heatmap(args, settings):
+def cmd_heatmap(args, settings, cfg):
     scene, source = _load_scene(args, settings)
     report = {
         "scene": source,
         "config": config_echo(settings),
-        "heatmaps": _export_scene_heatmaps(scene, objective_config(settings), args.out_dir),
+        "heatmaps": _export_scene_heatmaps(scene, cfg, args.out_dir),
     }
     emit(report, args)
     return EXIT_OK
@@ -281,7 +287,7 @@ def cmd_heatmap(args, settings):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, resolve_settings(args))
+        return args.run(args, *resolve_settings(args))
     except (SceneFormatError, DomainError, DimensionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

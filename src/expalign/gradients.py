@@ -60,26 +60,32 @@ def coerce_inputs(features, tokens, token_valid=None):
     """
     if len(features) != 3:
         raise DimensionError(f"expected 3 feature maps (scales 3, 4, 5), got {len(features)}")
+    if len(tokens) == 0:
+        raise DimensionError("expected token embeddings for at least 1 prompt, got 0")
+    if token_valid is not None and len(token_valid) != len(tokens):
+        raise DimensionError(f"token_valid has {len(token_valid)} entries for {len(tokens)} prompts")
     fvals = [np.asarray(f, dtype=np.float64) for f in features]
     if not all(np.isfinite(fv).all() for fv in fvals):
         raise DomainError("feature values must be finite")
+    for s, fv in enumerate(fvals):
+        if fv.ndim != 3:
+            raise DimensionError(f"feature map of scale {s + 3} must be (C, Hs, Ws), got rank {fv.ndim}")
+        if fv.shape[0] != fvals[0].shape[0]:
+            raise DimensionError("feature maps must share the channel axis")
+    c = fvals[0].shape[0]
     tvals, valids = [], []
     for p, t in enumerate(tokens):
-        arr = np.asarray(t, dtype=np.float64)
-        tvals.append(arr)
-        v = None if token_valid is None else token_valid[p]
-        valids.append(np.ones(arr.shape[0], dtype=bool) if v is None else np.asarray(v, dtype=bool))
-    c = fvals[0].shape[0]
-    for fv in fvals:
-        if fv.ndim != 3 or fv.shape[0] != c:
-            raise DimensionError("feature maps must share the channel axis")
-    for tv, va in zip(tvals, valids):
+        tv = np.asarray(t, dtype=np.float64)
         if tv.ndim != 2 or tv.shape[1] != c:
             raise DimensionError("token embeddings must be (L, C) with matching channels")
+        v = None if token_valid is None else token_valid[p]
+        va = np.ones(tv.shape[0], dtype=bool) if v is None else np.asarray(v, dtype=bool)
         if va.shape != (tv.shape[0],):
             raise DimensionError("validity mask length must match the token count")
         if not va.any():
             raise DomainError("every prompt needs at least one valid token")
+        tvals.append(tv)
+        valids.append(va)
     fusion.check_pyramid(fvals[0][0], fvals[1][0], fvals[2][0])
 
     lengths = [tv.shape[0] for tv in tvals]
@@ -167,23 +173,9 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     )
 
 
-@dataclass(frozen=True)
-class ObjectiveValue:
-    l_sem: float
-    l_geo: float
-    total: float
-    logits: np.ndarray
-    selections: tuple
-    k: int
-
-
 def objective(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_valid=None):
-    """Weighted objective lambda_sem * L_sem + lambda_geo * L_geo for one image."""
-    tr = forward(features, tokens, masks, positives, cfg, token_valid)
-    return ObjectiveValue(
-        l_sem=tr.l_sem, l_geo=tr.l_geo, total=tr.total,
-        logits=tr.logits, selections=tuple(tr.selections), k=tr.k,
-    )
+    """Weighted objective lambda_sem * L_sem + lambda_geo * L_geo for one image, as its forward Trace."""
+    return forward(features, tokens, masks, positives, cfg, token_valid)
 
 
 @dataclass(frozen=True)
@@ -270,18 +262,15 @@ def objective_fd_gradients(features, tokens, masks, positives,
     The advantage tensor is frozen at the base point before differencing, so the
     numeric gradient measures the same function the analytic pass differentiates.
     """
-    fvals, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
-    tvals = [tok_stack[p, :l] for p, l in enumerate(lengths)]
-    valids = [valid_stack[p, :l] for p, l in enumerate(lengths)]
-    base = forward(fvals, tvals, masks, positives, cfg, valids)
+    base = forward(features, tokens, masks, positives, cfg, token_valid)
     frozen = base.gaco.adv.copy()
 
-    points = fvals + tvals  # the three scales, then each prompt
+    points = list(features) + list(tokens)  # the three scales, then each prompt
 
     def value(i, x):
         args = list(points)
         args[i] = x
-        return forward(args[:3], args[3:], masks, positives, cfg, valids, frozen_adv=frozen).total
+        return forward(args[:3], args[3:], masks, positives, cfg, token_valid, frozen_adv=frozen).total
 
     grads = [finite_difference_gradient(lambda x, i=i: value(i, x), p, h) for i, p in enumerate(points)]
     return GradientBundle(

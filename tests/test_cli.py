@@ -12,6 +12,58 @@ DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "worked_example_scene.json"
 GOLDEN = DATA / "golden_loss_report.json"
 
+REPORT_FLAGS = {"--config", "--seed", "--json", "--out"}
+HYPERPARAMETER_FLAGS = {"--tau-t", "--tau", "--lambda-sem", "--lambda-geo", "--clip", "--eps", "--k-ratio",
+                        "--normalize-sim", "--no-normalize-sim", "--std-mode"}
+SUITE_FLAGS = REPORT_FLAGS | {"--inject-fault"}
+COMMAND_FLAGS = {
+    "loss": REPORT_FLAGS | HYPERPARAMETER_FLAGS | {"--scene", "--signal"},
+    "verify": SUITE_FLAGS, "gibbs": SUITE_FLAGS, "mil": SUITE_FLAGS, "gradcheck": SUITE_FLAGS,
+    "demo": REPORT_FLAGS - {"--seed"} | HYPERPARAMETER_FLAGS
+            | {"--seeds", "--steps", "--lr", "--signal", "--heatmap", "--heatmap-dir"},
+    "heatmap": REPORT_FLAGS | {"--tau-t", "--scene", "--signal", "--out-dir"},
+}
+
+
+def exit_code(argv):
+    """cli.main in process: its return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+class TestSurface:
+    def test_each_command_takes_exactly_the_flags_its_handler_reads(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in commands.items()}
+        assert flags == COMMAND_FLAGS
+        assert sum(map(len, flags.values())) == 63
+        assert not any(p.allow_abbrev for p in commands.values())
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["mil", "--tau-t", "0.5"], "--tau-t"),
+        (["demo", "--seed", "3"], "--seed"),      # not --seeds
+        (["heatmap", "--tau", "0.3"], "--tau"),   # not --tau-t
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, capsys, argv, unread):
+        assert exit_code(argv) == 2
+        assert f"unrecognized arguments: {unread} " in capsys.readouterr().err
+
+    def test_bad_config_hyperparameter_rejected_by_a_suite(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"tau_t": -5}))
+        assert exit_code(["verify", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == "error: temperatures must be positive\n"
+
+    @pytest.mark.parametrize("command", ["loss", "heatmap"])
+    def test_scene_file_with_synthetic_flags_rejected(self, tmp_path, capsys, command):
+        argv = [command, "--scene", str(FIXTURE), "--seed", "5", "--signal", "9", "--out", str(tmp_path / "r")]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --seed and --signal would not be read")
+        assert not (tmp_path / "r").exists()
+
+
 class TestLossCommand:
     def test_golden_report_byte_for_byte(self, tmp_path):
         shutil.copy(FIXTURE, tmp_path / "scene.json")

@@ -129,6 +129,22 @@ class TestObjective:
         with pytest.raises(error, match=message):
             coerce_inputs(*corrupt(features, toks, valid))
 
+    @pytest.mark.parametrize("entry", [
+        lambda f, t, v: objective(f, t, np.zeros((len(t), 8, 8), dtype=bool), [0], token_valid=v),
+        lambda f, t, v: fused_maps(f, t, token_valid=v),
+        lambda f, t, v: objective_fd_gradients(f, t, np.zeros((len(t), 8, 8), dtype=bool), [0], token_valid=v),
+    ], ids=["objective", "fused_maps", "objective_fd_gradients"])
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda f, t, v: (f, [], None), "at least 1 prompt, got 0"),
+        (lambda f, t, v: (f, t, v[:1]), "token_valid has 1 entries for 2 prompts"),
+        (lambda f, t, v: (f, t, v + v[:1]), "token_valid has 3 entries for 2 prompts"),
+        (lambda f, t, v: (replaced(f, 0, f[0][0]), t, v), r"scale 3 must be \(C, Hs, Ws\), got rank 2"),
+    ], ids=["no-prompts", "fewer-valid", "more-valid", "feature-rank"])
+    def test_entry_points_name_the_counts(self, entry, corrupt, message):
+        features, toks, valid, _ = small_problem(13)
+        with pytest.raises(DimensionError, match=message):
+            entry(*corrupt(features, toks, valid))
+
     def test_domain_objects_rejected(self):
         # the entry points take raw arrays; FeatureMap and TokenBatch fail loudly
         scene = generate_scene(SceneSpec(seed=1))

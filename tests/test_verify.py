@@ -52,6 +52,13 @@ def test_nan_residual_fails_its_check():
     assert not limits.passed and np.isnan(limits.residual)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_loose_clip_fails_gaco_bounds(seed):
+    # the check's draw has one region whose top advantage passes the clip at every seed
+    results = faulted_run("gaco-clip-top-1.1", groups=["gaco"], seed=seed)
+    assert not next(r for r in results if r.name == "gaco_bounds").passed
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ValueError, match="unknown fault"):
         verify.run_suite(groups=["fusion"], fault="no-such-fault")
