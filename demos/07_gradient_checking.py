@@ -22,7 +22,7 @@ print(f"\n{len(cases)} non-degenerate configurations (2 prompts, 8x8/4x4/2x2 pyr
 for i, case in enumerate(cases):
     tr = forward(case["features"], case["tokens"], case["masks"],
                  case["positives"], case["cfg"], case["valid"])
-    margins = nondegeneracy_margins(tr, case["cfg"])
+    margins = nondegeneracy_margins(tr)
     err, bundle = run_gradcheck_case(case)
     print(f"case {i}: max relative error {err:.2e}   "
           f"margins topk={margins['topk']:.3f} clip={margins['clip']:.3f}")

@@ -53,9 +53,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help_text, seed=True, **defaults):
-        """A subcommand with the report flags; defaults name its handler as run."""
+        """A subcommand with the report flags; defaults name its handler as run and its own parser."""
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(**defaults)
+        p.set_defaults(parser=p, **defaults)
         p.add_argument("--config", metavar="PATH", help="JSON file with hyperparameter defaults")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
@@ -285,7 +285,9 @@ def cmd_heatmap(args, settings, cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # with the subcommand's usage line and flags, not the top level's
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.run(args, *resolve_settings(args))
     except (SceneFormatError, DomainError, DimensionError) as e:

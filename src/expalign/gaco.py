@@ -106,6 +106,8 @@ class GacoResult:
     masks: np.ndarray      # boolean (P, H, W)
     denom: int             # total masked cell count
     stats: tuple           # per-prompt (mu, sigma) or None for empty regions
+    cfg: GacoConfig        # the config the chain ran with
+    up_map: np.ndarray     # the (P, H, W) fine map the chain ran on
 
 
 def mask_segments(masks):
@@ -136,6 +138,8 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     if frozen_adv is not None:
         adv = np.asarray(frozen_adv, dtype=np.float64)
+        if adv.shape != up_map.shape:
+            raise DimensionError(f"frozen_adv {adv.shape} must match the map {up_map.shape}")
         masked_adv = adv[masks]
         conf = None
         stats = (None,) * up_map.shape[0]
@@ -156,12 +160,13 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     denom = cells.size
     loss = float(-(masked_adv * log_probs.ravel().take(cells)).sum() / denom) if denom > 0 else 0.0
     return GacoResult(loss=loss, log_probs=log_probs, conf=conf, adv=adv, masks=masks,
-                      denom=denom, stats=tuple(stats))
+                      denom=denom, stats=tuple(stats), cfg=cfg, up_map=up_map)
 
 
-def gaco_backward(res, up_map, cfg, g_loss):
-    """Gradient of g_loss * res.loss with respect to the (P, H3, W3) fine map; the advantage is a
-    constant, and the max-abs normalizer is differentiated through its argmax cell."""
+def gaco_backward(res, g_loss):
+    """Gradient of g_loss * res.loss with respect to the fine map res ran on, under its config;
+    the advantage is a constant, and the max-abs normalizer is differentiated through its argmax cell."""
+    up_map, cfg = res.up_map, res.cfg
     if res.denom == 0:
         return np.zeros_like(up_map)
     masked_adv = float(res.adv[res.masks].sum())

@@ -27,6 +27,9 @@ from . import fusion, semantic
 from .errors import DimensionError, DomainError
 from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward, mask_segments
 
+FD_STEP = 1e-4       # central-difference step of the gradient oracle
+ERROR_FLOOR = 1e-8   # smallest denominator of relative_gradient_error
+
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
@@ -140,6 +143,7 @@ class Trace:
     gaco: GacoResult
     l_geo: float
     total: float
+    cfg: ObjectiveConfig  # the config the forward ran with, which the backward reads
 
 
 def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
@@ -170,6 +174,7 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
         fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
         sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), dw=dw, up=up, k=k,
         selections=selections, logits=logits, positives=pos, l_sem=l_sem, gaco=g, l_geo=l_geo, total=total,
+        cfg=cfg,
     )
 
 
@@ -187,14 +192,15 @@ class GradientBundle:
     total: float
 
 
-def backward(tr, cfg=ObjectiveConfig()):
-    """Reverse pass over a Trace; returns gradients w.r.t. features and tokens."""
+def backward(tr):
+    """Reverse pass over a Trace, under its forward's config; gradients w.r.t. features and tokens."""
+    cfg = tr.cfg
     n_prompts = tr.tok_stack.shape[0]
     # each loss term's own backward gives its fused map's gradient; a zero weight skips the term
     g_dw = (semantic.pooled_infonce_backward(tr.logits, tr.selections, tr.positives, tr.dw.shape,
                                              cfg.tau, cfg.lambda_sem)
             if cfg.lambda_sem != 0.0 else np.zeros_like(tr.dw))
-    g_up = (gaco_backward(tr.gaco, tr.up, cfg.gaco, cfg.lambda_geo)
+    g_up = (gaco_backward(tr.gaco, cfg.lambda_geo)
             if cfg.lambda_geo != 0.0 else np.zeros_like(tr.up))
 
     gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
@@ -229,7 +235,7 @@ def objective_with_gradients(features, tokens, masks, positives,
                              cfg=ObjectiveConfig(), token_valid=None):
     """Forward and reverse pass in one call."""
     tr = forward(features, tokens, masks, positives, cfg, token_valid)
-    return backward(tr, cfg)
+    return backward(tr)
 
 
 def fused_maps(features, tokens, tau_t=1.0, token_valid=None):
@@ -239,7 +245,7 @@ def fused_maps(features, tokens, tau_t=1.0, token_valid=None):
     return fusion.fuse_down(*eams), fusion.fuse_up(*eams)
 
 
-def finite_difference_gradient(f, point, h=1e-4):
+def finite_difference_gradient(f, point, h=FD_STEP):
     """Central differences (f(x + h e_i) - f(x - h e_i)) / (2h) per coordinate."""
     point = np.array(point, dtype=np.float64)
     flat = point.ravel()
@@ -256,7 +262,7 @@ def finite_difference_gradient(f, point, h=1e-4):
 
 
 def objective_fd_gradients(features, tokens, masks, positives,
-                           cfg=ObjectiveConfig(), token_valid=None, h=1e-4):
+                           cfg=ObjectiveConfig(), token_valid=None):
     """Finite-difference gradients of the objective under its stop-gradient rules.
 
     The advantage tensor is frozen at the base point before differencing, so the
@@ -272,15 +278,15 @@ def objective_fd_gradients(features, tokens, masks, positives,
         args[i] = x
         return forward(args[:3], args[3:], masks, positives, cfg, token_valid, frozen_adv=frozen).total
 
-    grads = [finite_difference_gradient(lambda x, i=i: value(i, x), p, h) for i, p in enumerate(points)]
+    grads = [finite_difference_gradient(lambda x, i=i: value(i, x), p) for i, p in enumerate(points)]
     return GradientBundle(
         d_features=grads[:3], d_tokens=grads[3:],
         l_sem=base.l_sem, l_geo=base.l_geo, total=base.total,
     )
 
 
-def relative_gradient_error(analytic, numeric, floor=1e-8):
-    """Max per-coordinate |a - n| / max(|a|, |n|, floor) over matching bundles; NaN if any is NaN."""
+def relative_gradient_error(analytic, numeric):
+    """Max per-coordinate |a - n| / max(|a|, |n|, ERROR_FLOOR) over matching bundles; NaN if any is NaN."""
     shapes = [([np.shape(g) for g in b.d_features], [np.shape(g) for g in b.d_tokens])
               for b in (analytic, numeric)]
     if shapes[0] != shapes[1]:
@@ -289,17 +295,17 @@ def relative_gradient_error(analytic, numeric, floor=1e-8):
     pairs = list(zip(analytic.d_features, numeric.d_features))
     pairs += list(zip(analytic.d_tokens, numeric.d_tokens))
     for a, n in pairs:
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), ERROR_FLOOR)
         errors.append(np.max(np.abs(a - n) / denom))
     return float(np.max(errors))  # np.max keeps a NaN, where Python's max(worst, nan) drops it
 
 
-def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
+def nondegeneracy_margins(tr):
     """Margins guarding the non-smooth corners of the objective.
 
     Returns the smallest observed margin for: the top-k cut, the advantage
-    clip, the per-scale argmax token, and the max-abs normalizer. Gradient
-    checks require each to clear 1e-2.
+    clip (at the trace's own clip bound), the per-scale argmax token, and the
+    max-abs normalizer. Gradient checks require each to clear 1e-2.
     """
     margins = {}
     flat = tr.dw.reshape(tr.dw.shape[0], -1)
@@ -310,13 +316,12 @@ def nondegeneracy_margins(tr, cfg=ObjectiveConfig()):
     else:
         margins["topk"] = np.inf
 
-    clip_margin = np.inf
+    clip_margin, c = np.inf, tr.gaco.cfg.clip
     for st, (start, stop) in zip(tr.gaco.stats, mask_segments(tr.gaco.masks)[1]):
         if st is None:
             continue
         mu, sigma = st
         zpre = (tr.gaco.conf[start:stop] - mu) / sigma
-        c = cfg.gaco.clip
         clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin
 

@@ -34,16 +34,11 @@ BENCHMARK_SEEDS = tuple(range(1, 11))
 BENCHMARK_SIGNAL = 1.0
 BENCHMARK_STEPS = 500
 BENCHMARK_LR = 0.5
-
-
-@dataclass(frozen=True)
-class RectMask:
-    """Rectangle at fine-grid resolution; all four numbers in cells."""
-
-    top: int
-    left: int
-    height: int
-    width: int
+# every scene: feature noise std, token distractor norm, and the weight of the
+# planted direction in the initial tokens
+FEATURE_NOISE = 0.3
+TOKEN_NOISE = 10.0
+TOKEN_SIGNAL = 0.35
 
 
 @dataclass(frozen=True)
@@ -56,10 +51,6 @@ class SceneSpec:
     width3: int = 24
     signal: float = 1.0
     n_negatives: int = 1
-    masks: tuple = None          # explicit RectMask per positive prompt, or None to auto-place
-    feature_noise: float = 0.3
-    token_noise: float = 10.0
-    token_signal: float = 0.35   # weight of the planted direction in the initial tokens
 
     def __post_init__(self):
         if self.height3 % 4 or self.width3 % 4:
@@ -70,18 +61,10 @@ class SceneSpec:
             raise DomainError("need at least one positive prompt")
         if self.n_positives > self.channels:
             raise DomainError("orthonormal planted directions need n_positives <= channels")
-        for name in ("signal", "feature_noise", "token_noise", "token_signal"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.signal < 0 or self.feature_noise < 0 or self.token_noise < 0 or self.token_signal < 0:
+        if not np.isfinite(self.signal):
+            raise DomainError(f"signal must be finite, got {self.signal}")
+        if self.signal < 0:
             raise DomainError("signal and noise scales must be nonnegative")
-        if self.masks is not None:
-            if len(self.masks) != self.n_positives:
-                raise DimensionError(f"expected {self.n_positives} masks, got {len(self.masks)}")
-            for r in self.masks:
-                if r.height < 1 or r.width < 1 or r.top < 0 or r.left < 0 \
-                        or r.top + r.height > self.height3 or r.left + r.width > self.width3:
-                    raise DomainError(f"mask {r} outside the {self.height3}x{self.width3} grid")
 
     @property
     def n_positives(self):
@@ -95,7 +78,6 @@ class Scene:
     masks: np.ndarray        # (P, H3, W3) boolean; all-False rows for negatives
     positives: tuple
     directions: np.ndarray = None  # (P, C) planted directions, zero rows for negatives; None from a file
-    spec: SceneSpec = None
 
 
 def region_profile(height, width):
@@ -109,14 +91,15 @@ def region_profile(height, width):
 
 
 def _auto_rects(rng, spec):
-    """One rectangle per positive prompt, each inside its own tile of the 4-cell block grid."""
+    """One (top, left, height, width) rectangle in cells per positive prompt, each
+    inside its own tile of the 4-cell block grid."""
     n_pos = spec.n_positives
     nt = math.ceil(math.sqrt(n_pos))
     bh, bw = spec.height3 // 4, spec.width3 // 4  # grid in 4-cell blocks
     tbh, tbw = bh // nt, bw // nt
     if tbh < 2 or tbw < 2:
         raise DomainError(
-            f"grid {spec.height3}x{spec.width3} too small to auto-place {n_pos} masks; pass explicit masks"
+            f"grid {spec.height3}x{spec.width3} too small to auto-place {n_pos} masks"
         )
     rects = []
     for i in range(n_pos):
@@ -125,7 +108,7 @@ def _auto_rects(rng, spec):
         w = int(rng.integers(2, tbw + 1))
         oy = int(rng.integers(0, tbh - h + 1))
         ox = int(rng.integers(0, tbw - w + 1))
-        rects.append(RectMask(top=(tr * tbh + oy) * 4, left=(tc * tbw + ox) * 4, height=h * 4, width=w * 4))
+        rects.append(((tr * tbh + oy) * 4, (tc * tbw + ox) * 4, h * 4, w * 4))
     return rects
 
 
@@ -144,17 +127,16 @@ def generate_scene(spec):
     directions = np.zeros((p, c))
     directions[:n_pos] = basis.T
 
-    rects = list(spec.masks) if spec.masks is not None else _auto_rects(rng, spec)
     masks = np.zeros((p, h3, w3), dtype=bool)
     weights = np.zeros((p, h3, w3))
-    for i, r in enumerate(rects):
-        masks[i, r.top:r.top + r.height, r.left:r.left + r.width] = True
-        weights[i, r.top:r.top + r.height, r.left:r.left + r.width] = region_profile(r.height, r.width)
+    for i, (top, left, h, w) in enumerate(_auto_rects(rng, spec)):
+        masks[i, top:top + h, left:left + w] = True
+        weights[i, top:top + h, left:left + w] = region_profile(h, w)
 
     features = []
     for factor in (1, 2, 4):
         hs, ws = h3 // factor, w3 // factor
-        values = rng.standard_normal((c, hs, ws)) * spec.feature_noise
+        values = rng.standard_normal((c, hs, ws)) * FEATURE_NOISE
         for i in range(n_pos):
             w_s = weights[i]
             while w_s.shape[0] > hs:
@@ -165,15 +147,15 @@ def generate_scene(spec):
     span = directions[:n_pos]  # orthonormal rows
     tokens = []
     for i in range(p):
-        emb = rng.standard_normal((l, c)) * (spec.token_noise / math.sqrt(c))
+        emb = rng.standard_normal((l, c)) * (TOKEN_NOISE / math.sqrt(c))
         emb = emb - (emb @ span.T) @ span  # distractors orthogonal to every planted direction
         if i < n_pos:
-            emb = emb + spec.token_signal * directions[i][None, :]
+            emb = emb + TOKEN_SIGNAL * directions[i][None, :]
         tokens.append(TokenBatch(emb, np.ones(l, dtype=bool)))
 
     return Scene(
         features=tuple(features), tokens=tuple(tokens), masks=masks,
-        positives=tuple(range(n_pos)), directions=directions, spec=spec,
+        positives=tuple(range(n_pos)), directions=directions,
     )
 
 

@@ -288,7 +288,7 @@ def _gaco_sign(rng):
     cfg = gaco.GacoConfig(clip=3.0, eps=1e-6, normalize=False)
     adv = np.zeros((1, 2, 2))
     adv[0, 0, 0] = 1.3
-    analytic = gaco.gaco_backward(gaco.gaco_forward(m, masks, cfg, frozen_adv=adv), m, cfg, 1.0)
+    analytic = gaco.gaco_backward(gaco.gaco_forward(m, masks, cfg, frozen_adv=adv), 1.0)
     loss = lambda x: gaco.gaco_forward(x, masks, cfg, frozen_adv=adv).loss
     fd = finite_difference_gradient(loss, m, h=1e-6)
     residual = float(np.abs(analytic - fd).max())
@@ -487,7 +487,7 @@ def sample_gradcheck_case(seed, cfg=ObjectiveConfig()):
         masks[p, top:top + 3, left:left + 3] = True
     positives = [0] if rng.random() < 0.5 else [0, 1]
     tr = forward(features, tokens, masks, positives, cfg, valid)
-    margins = nondegeneracy_margins(tr, cfg)
+    margins = nondegeneracy_margins(tr)
     if min(margins.values()) < GRADCHECK_MARGIN:
         return None
     return {"features": features, "tokens": tokens, "valid": valid,
@@ -505,11 +505,11 @@ def find_gradcheck_cases(count, base_seed=1000, cfg=ObjectiveConfig()):
     return cases
 
 
-def run_gradcheck_case(case, h=1e-4):
+def run_gradcheck_case(case):
     analytic = objective_with_gradients(case["features"], case["tokens"], case["masks"],
                                         case["positives"], case["cfg"], case["valid"])
     numeric = objective_fd_gradients(case["features"], case["tokens"], case["masks"],
-                                     case["positives"], case["cfg"], case["valid"], h=h)
+                                     case["positives"], case["cfg"], case["valid"])
     return relative_gradient_error(analytic, numeric), analytic
 
 
@@ -569,7 +569,7 @@ def _directional_error(case, rng):
     args = (case["masks"], case["positives"], case["cfg"], case["valid"])
     points = case["features"] + case["tokens"]
     tr = forward(case["features"], case["tokens"], *args)
-    bundle = gradients.backward(tr, case["cfg"])
+    bundle = gradients.backward(tr)
     g = np.concatenate([d.ravel() for d in bundle.d_features + bundle.d_tokens])
     gnorm = float(np.linalg.norm(g))
     dirs = np.vstack([g / gnorm, rng.normal(size=(2, g.size))])
@@ -648,6 +648,9 @@ def run_suite(groups=None, seed=0, fault=None):
     fault is given; results are ordered by registry index."""
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
+    known = sorted({group for _, group, _, _ in _CHECKS})
+    if groups is not None and (not groups or not set(groups) <= set(known)):
+        raise ValueError(f"groups must name one or more check groups, got {list(groups)}; known: {known}")
     target, edits = FAULTS[fault] if fault is not None else (None, ())
     if fault is not None and groups is not None and target not in groups:
         raise DomainError(f"fault {fault!r} must fail group {target!r}, which groups {list(groups)} leave out")

@@ -120,7 +120,7 @@ def test_criterion_4_gradient_checks():
     with criterion(4, "analytic vs central differences on 20 non-degenerate configs (<= 1e-5)", 60.0):
         worst = 0.0
         for case in find_gradcheck_cases(20, base_seed=4000):
-            err, _ = run_gradcheck_case(case, h=1e-4)
+            err, _ = run_gradcheck_case(case)
             worst = max(worst, err)
         assert worst <= 1e-5, f"max relative error {worst:.3e}"
 

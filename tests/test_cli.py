@@ -51,6 +51,21 @@ class TestSurface:
         assert exit_code(argv) == 2
         assert f"unrecognized arguments: {unread} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,unread", [
+        (["mil", "--tau-t", "0.5"], "--tau-t 0.5"),
+        (["demo", "--seed", "3"], "--seed 3"),
+        (["heatmap", "--tau", "0.3"], "--tau 0.3"),
+    ])
+    def test_unread_flag_reported_by_its_command(self, capsys, argv, unread):
+        # the top-level parser's usage named neither the command nor its flags
+        command = argv[0]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: expalign {command} [-h]")
+        assert err.endswith(f"expalign {command}: error: unrecognized arguments: {unread}\n")
+        usage = err[:err.index(f"expalign {command}: error")]
+        assert all(flag in usage for flag in COMMAND_FLAGS[command])
+
     def test_bad_config_hyperparameter_rejected_by_a_suite(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"tau_t": -5}))
         assert exit_code(["verify", "--config", str(tmp_path / "cfg.json")]) == 2
@@ -256,14 +271,16 @@ class TestDemoCommand:
 class TestHeatmapCommand:
     def test_constant_map_renders_uniform(self, tmp_path):
         from expalign.heatmap import read_pgm
+        from expalign.eah import FeatureMap, TokenBatch
         from expalign.sceneio import write_scene
-        from expalign.synth import RectMask, SceneSpec, generate_scene
+        from expalign.synth import Scene
 
-        # zero-signal, zero-noise scene: fine maps are exactly constant
-        spec = SceneSpec(seed=0, prompts=1, tokens=1, channels=2, height3=8, width3=8,
-                         signal=0.0, n_negatives=0, feature_noise=0.0, token_noise=0.0,
-                         masks=(RectMask(top=0, left=0, height=4, width=4),))
-        write_scene(tmp_path / "scene.json", generate_scene(spec))
+        # zero features: fine maps are exactly constant
+        masks = np.zeros((1, 8, 8), dtype=bool)
+        masks[0, :4, :4] = True
+        scene = Scene(features=tuple(FeatureMap(np.zeros((2, h, h))) for h in (8, 4, 2)),
+                      tokens=(TokenBatch(np.ones((1, 2)), np.ones(1, dtype=bool)),), masks=masks, positives=(0,))
+        write_scene(tmp_path / "scene.json", scene)
         res = run_cli(["heatmap", "--scene", "scene.json", "--out-dir", "hm"], cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         data = read_pgm(tmp_path / "hm" / "prompt_00.pgm")

@@ -292,7 +292,7 @@ class TestGacoBackward:
     def check(self, m, masks, cfg, frozen_adv=None):
         adv = gaco_forward(m, masks, cfg).adv if frozen_adv is None else frozen_adv
         res = gaco_forward(m, masks, cfg, frozen_adv=adv)
-        analytic = gaco_backward(res, m, cfg, self.G_LOSS)
+        analytic = gaco_backward(res, self.G_LOSS)
         numeric = finite_difference_gradient(
             lambda x: self.G_LOSS * gaco_forward(x, masks, cfg, frozen_adv=adv).loss, m, h=1e-5)
         assert analytic.shape == m.shape
@@ -322,6 +322,6 @@ class TestGacoBackward:
         masks = np.zeros((2, 4, 4), bool)
         cfg = GacoConfig()
         res = gaco_forward(m, masks, cfg)
-        g = gaco_backward(res, m, cfg, self.G_LOSS)
+        g = gaco_backward(res, self.G_LOSS)
         assert res.loss == 0.0
         assert g.shape == m.shape and not g.any()

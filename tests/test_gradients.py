@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from expalign.errors import DimensionError, DomainError
-from expalign.gaco import GacoConfig
+from expalign.gaco import GacoConfig, confidence, gaco_forward
 from expalign.gradients import (
     ObjectiveConfig,
+    backward,
     coerce_inputs,
     finite_difference_gradient,
     forward,
@@ -18,7 +19,7 @@ from expalign.gradients import (
     objective_with_gradients,
     relative_gradient_error,
 )
-from expalign.synth import SceneSpec, benchmark_spec, generate_scene
+from expalign.synth import SceneSpec, benchmark_config, benchmark_spec, generate_scene
 from expalign.verify import find_gradcheck_cases, run_gradcheck_case
 
 
@@ -145,6 +146,17 @@ class TestObjective:
         with pytest.raises(DimensionError, match=message):
             entry(*corrupt(features, toks, valid))
 
+    @pytest.mark.parametrize("entry", ["gaco_forward", "forward"])
+    def test_frozen_advantage_shape_checked(self, entry):
+        # a mismatched advantage was a bare IndexError from the boolean mask
+        adv = np.zeros((2, 2, 2))
+        with pytest.raises(DimensionError, match=r"frozen_adv \(2, 2, 2\) must match the map \(2, 4, 4\)"):
+            if entry == "gaco_forward":
+                gaco_forward(np.zeros((2, 4, 4)), np.ones((2, 4, 4), dtype=bool), frozen_adv=adv)
+            else:
+                features, toks, valid, masks = small_problem(14, h3=4)
+                forward(features, toks, masks, [0], token_valid=valid, frozen_adv=adv)
+
     def test_domain_objects_rejected(self):
         # the entry points take raw arrays; FeatureMap and TokenBatch fail loudly
         scene = generate_scene(SceneSpec(seed=1))
@@ -218,6 +230,19 @@ class TestFullGradients:
         assert np.isfinite(bundle.total)
         assert all(np.isfinite(g).all() for g in bundle.d_features + bundle.d_tokens)
 
+    @pytest.mark.parametrize("cfg", [
+        benchmark_config(),
+        ObjectiveConfig(tau_t=0.5, tau=0.4, topk_ratio=0.05, gaco=GacoConfig(eps=0.1, std_mode="std_plus_eps")),
+    ], ids=["benchmark", "config-sweep"])
+    def test_backward_reads_the_trace_config(self, cfg):
+        # a backward under the default config was 1.5e-2 off on this scene's token gradients
+        scene = generate_scene(benchmark_spec(1))
+        args = ([f.values for f in scene.features], [t.embeddings for t in scene.tokens], scene.masks,
+                scene.positives, cfg, [t.valid for t in scene.tokens])
+        got, want = backward(forward(*args)), objective_with_gradients(*args)
+        for a, b in zip(got.d_features + got.d_tokens, want.d_features + want.d_tokens):
+            assert a.tobytes() == b.tobytes()
+
     def test_gradient_flows_through_token_posterior(self):
         # a perturbation that only changes the posterior (not the selected
         # cells' similarities directly) must still move the loss
@@ -260,6 +285,18 @@ class TestNondegeneracyScreen:
             margins, expected = nondegeneracy_margins(tr), self.sorted_margins(tr)
             assert {key: margins[key] for key in expected} == expected
         assert any(nondegeneracy_margins(tr)["topk"] == 0.0 for tr in traces)  # a tie at the cut
+
+    def test_clip_margin_reads_the_trace_clip(self):
+        features, toks, valid, masks = small_problem(9)
+        tr = forward(features, toks, masks, [0], ObjectiveConfig(gaco=GacoConfig(clip=0.5, normalize=False)), valid)
+        zpre = []
+        for p in range(len(toks)):
+            conf = confidence(tr.up[p][masks[p]])
+            zpre.append((conf - conf.mean()) / np.sqrt(conf.var() + 1e-6))
+        zpre = np.concatenate(zpre)
+        margin = lambda c: float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c))))
+        assert abs(nondegeneracy_margins(tr)["clip"] - margin(0.5)) <= 1e-12
+        assert abs(margin(0.5) - margin(3.0)) > 1e-3  # the default clip reads differently
 
     def test_sampler_rejects_tied_cases(self):
         # a constant map ties everything; margins must flag it

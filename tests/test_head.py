@@ -17,14 +17,15 @@ from expalign.gradients import ObjectiveConfig, backward, forward, fused_maps
 TAU_EXTREMES = (1e-6, 1.0, 1e6)
 
 
-def dense_backward(tr, cfg):
+def dense_backward(tr):
     """The reverse pass over the full similarity tensor: (d_features, d_tokens).
 
     The loss terms' own backward functions give the fused-map gradients; the
     head below them is the reference."""
+    cfg = tr.cfg
     g_dw = semantic.pooled_infonce_backward(tr.logits, tr.selections, tr.positives, tr.dw.shape,
                                             cfg.tau, cfg.lambda_sem)
-    g_up = gaco_backward(tr.gaco, tr.up, cfg.gaco, cfg.lambda_geo)
+    g_up = gaco_backward(tr.gaco, cfg.lambda_geo)
     gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
     gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
     g_eams = [gd3 + gu3, gd4 + gu4, gd5 + gu5]
@@ -79,8 +80,8 @@ def test_rank_c_head_matches_tensor_form(seed, lengths, channels, h3, tau_t):
             sbar = token_similarity(fv, t).mean(axis=(0, 1))
             assert np.abs(tr.sbars[s][p, :len(t)] - sbar).max() <= 1e-12
 
-    bundle = backward(tr, cfg)
-    ref_features, ref_tokens = dense_backward(tr, cfg)
+    bundle = backward(tr)
+    ref_features, ref_tokens = dense_backward(tr)
     scale = max(np.abs(r).max() for r in ref_features + ref_tokens)
     for got, ref in zip(bundle.d_features + bundle.d_tokens, ref_features + ref_tokens):
         assert got.shape == ref.shape

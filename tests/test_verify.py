@@ -8,6 +8,8 @@ once, as a check in `expalign.verify`; this module runs them. Each fault of
 """
 
 import inspect
+import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from expalign import gradients, verify
 from expalign.errors import DomainError
 
 GROUPS = sorted({group for _, group, _, _ in verify._CHECKS})
+README = Path(__file__).resolve().parents[1] / "README.md"
 SEEDS = range(10)
 
 
@@ -62,6 +65,20 @@ def test_loose_clip_fails_gaco_bounds(seed):
 def test_unknown_fault_rejected():
     with pytest.raises(ValueError, match="unknown fault"):
         verify.run_suite(groups=["fusion"], fault="no-such-fault")
+
+
+@pytest.mark.parametrize("groups", [["grads"], [], ["grad", "gibbs", "nope"]])
+def test_unknown_or_no_group_rejected(groups):
+    # [] and ["grads"] checked nothing and read as a pass; a misspelt group beside good ones was dropped
+    with pytest.raises(ValueError, match=r"known: \['eah', 'fusion', 'gaco', 'gibbs', 'grad', 'mil', 'sem'\]"):
+        verify.run_suite(groups=groups)
+
+
+def test_readme_fault_table_names_every_fault():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| fault | function: old → new | fails |") + 2  # below the header and separator
+    names = [row.split("`")[1] for row in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    assert sorted(names) == sorted(verify.FAULTS) and len(names) == len(set(names))
 
 
 def test_fault_outside_the_selected_groups_rejected():
