@@ -211,7 +211,8 @@ def cmd_loss(args, settings, cfg):
     scene, source = _load_scene(args, settings)
     val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
                     scene.masks, scene.positives, cfg, [t.valid for t in scene.tokens])
-    bad = [name for name in ("l_sem", "l_geo", "total") if not np.isfinite(getattr(val, name))]
+    terms = {"l_sem": val.l_sem, "l_geo": val.gaco.loss, "total": val.total}
+    bad = [name for name, value in terms.items() if not np.isfinite(value)]
     if bad:
         raise DomainError(f"non-finite loss terms: {', '.join(bad)}")
     report = {
@@ -220,9 +221,7 @@ def cmd_loss(args, settings, cfg):
         "k": val.k,
         "pooled_logits": val.logits,
         "topk_indices": val.selections,
-        "l_sem": val.l_sem,
-        "l_geo": val.l_geo,
-        "total": val.total,
+        **terms,
     }
     emit(report, args)
     return EXIT_OK

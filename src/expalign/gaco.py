@@ -42,19 +42,26 @@ class GacoConfig:
             raise DomainError(f"std_mode must be one of {STD_MODES}, got {self.std_mode!r}")
 
 
+def _flat_maps(m):
+    """A (..., P, H, W) stack of maps as (..., P*H*W) rows; an array of rank 3 or less is one map."""
+    m = np.asarray(m, dtype=np.float64)
+    return m.reshape(m.shape[:-3] + (-1,))
+
+
 def normalize_sim(m, eps=1e-6):
-    """Divide every value by (max |value| + eps); all-zero input stays all-zero."""
+    """Divide every value by (max |value| + eps), per map of a (..., P, H, W) stack;
+    all-zero input stays all-zero."""
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    m = np.asarray(m, dtype=np.float64)
-    return m / (np.abs(m).max() + eps)
+    flat = _flat_maps(m)
+    return (flat / (np.abs(flat).max(axis=-1, keepdims=True) + eps)).reshape(np.shape(m))
 
 
 def log_joint_softmax(m):
-    """Log softmax over every prompt-location pair of a (P, H, W) map, max-subtracted."""
-    m = np.asarray(m, dtype=np.float64)
-    z = m - m.max()
-    return z - np.log(np.exp(z).sum())
+    """Log softmax over every prompt-location pair, per map of a (..., P, H, W) stack, max-subtracted."""
+    flat = _flat_maps(m)
+    z = flat - flat.max(axis=-1, keepdims=True)
+    return (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(np.shape(m))
 
 
 def joint_softmax(m):
@@ -78,8 +85,8 @@ def region_stats(vals, eps=1e-6, std_mode="population"):
     vals = np.asarray(vals, dtype=np.float64)
     if vals.size == 0:
         raise DomainError("region is empty; caller must skip this prompt")
-    mu = vals.mean()
-    var = np.mean((vals - mu) ** 2)
+    mu = vals.sum() / vals.size  # np.mean's sum and division, without its per-call dispatch
+    var = ((vals - mu) ** 2).sum() / vals.size
     if std_mode == "population":
         sigma = np.sqrt(var + eps)
     elif std_mode == "std_plus_eps":
@@ -99,7 +106,7 @@ def advantage(r, mu, sigma, clip=3.0):
 class GacoResult:
     """Intermediates of the full chain, kept for gradients and diagnostics."""
 
-    loss: float
+    loss: float            # an array over the leading axes of a stack of maps
     log_probs: np.ndarray  # log joint softmax of z, the map after optional normalization
     conf: np.ndarray       # sigmoid(z[masks]), in masks order; None when the advantage is frozen
     adv: np.ndarray        # clipped advantage, zero outside masks
@@ -126,11 +133,15 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     prompt by prompt over each one's segment of z[masks]. frozen_adv
     substitutes a precomputed advantage tensor, which is how the
     finite-difference oracle honors the stop-gradient on the advantage.
+    With frozen_adv, up_map may be a (..., P, H3, W3) stack of maps sharing
+    the masks and the advantage; the loss and log_probs then carry its
+    leading axes.
     """
     up_map = np.asarray(up_map, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
-    if up_map.ndim != 3 or up_map.shape != masks.shape:
-        raise DimensionError(f"map {up_map.shape} and masks {masks.shape} must both be (P, H, W)")
+    if up_map.ndim < 3 or up_map.shape[-3:] != masks.shape or (up_map.ndim > 3 and frozen_adv is None):
+        raise DimensionError(f"map {up_map.shape} and masks {masks.shape} must both be (P, H, W), "
+                             "or the map a stack of them with a frozen advantage")
 
     z = normalize_sim(up_map, cfg.eps) if cfg.normalize else up_map
     log_probs = log_joint_softmax(z)
@@ -138,11 +149,11 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
 
     if frozen_adv is not None:
         adv = np.asarray(frozen_adv, dtype=np.float64)
-        if adv.shape != up_map.shape:
-            raise DimensionError(f"frozen_adv {adv.shape} must match the map {up_map.shape}")
+        if adv.shape != masks.shape:
+            raise DimensionError(f"frozen_adv {adv.shape} must match the map {masks.shape}")
         masked_adv = adv[masks]
         conf = None
-        stats = (None,) * up_map.shape[0]
+        stats = (None,) * masks.shape[0]
     else:
         conf = confidence(z.ravel().take(cells))
         masked_adv = np.empty_like(conf)
@@ -158,9 +169,10 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
         adv.ravel()[cells] = masked_adv
 
     denom = cells.size
-    loss = float(-(masked_adv * log_probs.ravel().take(cells)).sum() / denom) if denom > 0 else 0.0
-    return GacoResult(loss=loss, log_probs=log_probs, conf=conf, adv=adv, masks=masks,
-                      denom=denom, stats=tuple(stats), cfg=cfg, up_map=up_map)
+    masked_log_probs = _flat_maps(log_probs).take(cells, axis=-1)
+    loss = -(masked_adv * masked_log_probs).sum(axis=-1) / denom if denom > 0 else np.zeros(up_map.shape[:-3])
+    return GacoResult(loss=float(loss) if loss.ndim == 0 else loss, log_probs=log_probs, conf=conf,
+                      adv=adv, masks=masks, denom=denom, stats=tuple(stats), cfg=cfg, up_map=up_map)
 
 
 def gaco_backward(res, g_loss):

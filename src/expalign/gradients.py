@@ -12,6 +12,11 @@ Internally prompts are padded to a common token count and processed batched;
 pad tokens carry exactly zero posterior weight and zero gradient, so padding
 is semantically invisible.
 
+The stages after coerce_inputs are written once, over an optional leading
+batch axis on the features and the token stack: forward runs them on one
+image, and the finite-difference oracle runs them on chunks of perturbed
+copies of one image, under the advantage frozen at its base point.
+
 Stop-gradient conventions, fixed here and honored by the finite-difference
 oracle: the advantage tensor is a constant under differentiation, top-k index
 sets and the clip's saturated branches are locally constant, pad tokens carry
@@ -27,8 +32,14 @@ from . import fusion, semantic
 from .errors import DimensionError, DomainError
 from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward, mask_segments
 
-FD_STEP = 1e-4       # central-difference step of the gradient oracle
+FD_STEP = 1e-4       # step of finite_difference_gradient's central differences
 ERROR_FLOOR = 1e-8   # smallest denominator of relative_gradient_error
+# objective_fd_gradients' 4-point Richardson stencil, with error O(h^4) and no
+# rounding amplified by a small step:
+#     f'(x) = (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h
+# Each pair is (offset in steps, weight) of the difference f(x + o h) - f(x - o h).
+FD_STENCIL = {"step": 3e-3, "pairs": ((1, 8.0), (2, -1.0)), "divisor": 12.0}
+FD_CHUNK = 128  # perturbed points per batched forward of objective_fd_gradients
 
 
 @dataclass(frozen=True)
@@ -106,24 +117,28 @@ def coerce_inputs(features, tokens, token_valid=None):
 def _masked_posteriors(sbar, valid, tau_t):
     """Row-wise softmax of sbar / tau_t over valid entries; invalid get exp(-inf) = 0 exactly."""
     z = np.where(valid, sbar / tau_t, -np.inf)
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _head(fv, tok_stack, valid_stack, tau_t):
     """Rank-C head of every prompt at one scale: sbar = T.fbar and the posterior
-    pi (P, L), the posterior-weighted token w = pi^T T (P, C), eam = w.F (P, Hs, Ws)."""
-    flat = fv.reshape(fv.shape[0], -1)                       # (C, Hs*Ws)
-    sbar = tok_stack @ (flat.sum(axis=1) / flat.shape[1])     # fbar, as np.mean but cheaper per call
+    pi (..., P, L), the posterior-weighted token w = pi^T T (..., P, C), and
+    eam = w.F (..., P, Hs, Ws); fv is (..., C, Hs, Ws) and tok_stack (..., P, L, C)."""
+    flat = fv.reshape(fv.shape[:-2] + (-1,))                           # (..., C, Hs*Ws)
+    fbar = flat.sum(axis=-1) / flat.shape[-1]                          # as np.mean but cheaper per call
+    sbar = (tok_stack @ fbar[..., None, :, None])[..., 0]
     pi = _masked_posteriors(sbar, valid_stack, tau_t)
-    w = (pi[:, None, :] @ tok_stack)[:, 0]
-    return sbar, pi, w, (w @ flat).reshape(-1, *fv.shape[1:])
+    w = (pi[..., None, :] @ tok_stack)[..., 0, :]
+    return sbar, pi, w, (w @ flat).reshape(w.shape[:-1] + fv.shape[-2:])
 
 
 @dataclass
 class Trace:
-    """Every forward intermediate needed by the backward pass."""
+    """Every forward intermediate needed by the backward pass. A batched run of the
+    stages gives each per-image field its leading batch axis; only forward's
+    single-image Trace goes to the backward pass."""
 
     fvals: list
     tok_stack: np.ndarray    # (P, Lmax, C)
@@ -133,15 +148,13 @@ class Trace:
     pis: list        # per scale: (P, Lmax)
     ws: list         # per scale: (P, C), the posterior-weighted token
     eams: list       # per scale: (P, Hs, Ws)
-    dw: np.ndarray   # (P, H5, W5)
-    up: np.ndarray   # (P, H3, W3)
+    dw: np.ndarray   # (P, H5, W5); the fine map (P, H3, W3) is gaco.up_map
     k: int
     selections: list  # flat top-k indices per prompt on dw
     logits: np.ndarray
     positives: tuple
     l_sem: float
-    gaco: GacoResult
-    l_geo: float
+    gaco: GacoResult  # the geometry loss is gaco.loss
     total: float
     cfg: ObjectiveConfig  # the config the forward ran with, which the backward reads
 
@@ -155,25 +168,34 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     h3, w3 = fvals[0].shape[1], fvals[0].shape[2]
     if masks.shape != (n_prompts, h3, w3):
         raise DimensionError(f"masks must be ({n_prompts}, {h3}, {w3}), got {masks.shape}")
+    pos = tuple(sorted(set(int(p) for p in positives)))
+    return _stages(fvals, tok_stack, valid_stack, lengths, masks, pos, cfg, frozen_adv)
 
+
+def _stages(fvals, tok_stack, valid_stack, lengths, masks, pos, cfg, frozen_adv=None):
+    """The forward after coerce_inputs, on one image or, with frozen_adv, on a leading
+    batch axis of the features and the token stack: the head, the fusion, top-k pooling
+    with InfoNCE and the geometry loss. One image makes one call per prompt to
+    semantic.topk_select and per region to gaco.region_stats, which the
+    benchmark's tracer counts."""
     sbars, pis, ws, eams = zip(*(_head(fv, tok_stack, valid_stack, cfg.tau_t) for fv in fvals))
 
     dw = fusion.fuse_down(eams[0], eams[1], eams[2])
     up = fusion.fuse_up(eams[0], eams[1], eams[2])
 
+    h3, w3 = masks.shape[1:]
     k = semantic.topk_budget(h3, w3, dw.shape[-2] * dw.shape[-1], cfg.topk_ratio)
     logits, selections = semantic.pooled_logits(dw, k)
-    pos = tuple(sorted(set(int(p) for p in positives)))
-    l_sem = semantic.infonce_multi_positive(logits, pos, cfg.tau)
+    # the public loss checks and takes one image; a batch's rows go to its arithmetic directly
+    l_sem = (semantic.infonce_multi_positive if logits.ndim == 1 else semantic.infonce_rows)(logits, pos, cfg.tau)
 
     g = gaco_forward(up, masks, cfg.gaco, frozen_adv=frozen_adv)
-    l_geo = g.loss
-    total = cfg.lambda_sem * l_sem + cfg.lambda_geo * l_geo
+    total = cfg.lambda_sem * l_sem + cfg.lambda_geo * g.loss
 
     return Trace(
         fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
-        sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), dw=dw, up=up, k=k,
-        selections=selections, logits=logits, positives=pos, l_sem=l_sem, gaco=g, l_geo=l_geo, total=total,
+        sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), dw=dw, k=k,
+        selections=selections, logits=logits, positives=pos, l_sem=l_sem, gaco=g, total=total,
         cfg=cfg,
     )
 
@@ -201,7 +223,7 @@ def backward(tr):
                                              cfg.tau, cfg.lambda_sem)
             if cfg.lambda_sem != 0.0 else np.zeros_like(tr.dw))
     g_up = (gaco_backward(tr.gaco, cfg.lambda_geo)
-            if cfg.lambda_geo != 0.0 else np.zeros_like(tr.up))
+            if cfg.lambda_geo != 0.0 else np.zeros_like(tr.gaco.up_map))
 
     gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
     gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
@@ -227,7 +249,7 @@ def backward(tr):
     d_tokens = [d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)]
     return GradientBundle(
         d_features=d_features, d_tokens=d_tokens,
-        l_sem=tr.l_sem, l_geo=tr.l_geo, total=tr.total,
+        l_sem=tr.l_sem, l_geo=tr.gaco.loss, total=tr.total,
     )
 
 
@@ -263,25 +285,43 @@ def finite_difference_gradient(f, point, h=FD_STEP):
 
 def objective_fd_gradients(features, tokens, masks, positives,
                            cfg=ObjectiveConfig(), token_valid=None):
-    """Finite-difference gradients of the objective under its stop-gradient rules.
+    """Finite-difference gradients of the objective under its stop-gradient rules, on FD_STENCIL.
 
-    The advantage tensor is frozen at the base point before differencing, so the
-    numeric gradient measures the same function the analytic pass differentiates.
+    The base forward coerces the inputs once and fixes the advantage, which stays
+    frozen at the base point, so the numeric gradient measures the same function
+    the analytic pass differentiates. Every perturbed point (each coordinate of
+    the features and of each prompt's tokens, moved by each stencil offset) then
+    runs through the batched stages, FD_CHUNK points per call.
     """
     base = forward(features, tokens, masks, positives, cfg, token_valid)
-    frozen = base.gaco.adv.copy()
+    arrays = base.fvals + [base.tok_stack]
+    x0 = np.concatenate([a.ravel() for a in arrays])
+    splits = np.cumsum([a.size for a in arrays])[:-1]
+    # every coordinate but the token stack's pad rows: the features, then each prompt's tokens
+    tok_index = splits[-1] + np.arange(base.tok_stack.size).reshape(base.tok_stack.shape)
+    coords = np.concatenate([np.arange(splits[-1])]
+                            + [tok_index[p, :n].ravel() for p, n in enumerate(base.lengths)])
+    h, pairs = FD_STENCIL["step"], FD_STENCIL["pairs"]
+    offsets = np.array([sign * o * h for o, _ in pairs for sign in (1, -1)])  # x + o h, then x - o h, per pair
 
-    points = list(features) + list(tokens)  # the three scales, then each prompt
+    point_coords, point_offsets = np.repeat(coords, offsets.size), np.tile(offsets, coords.size)
+    values = np.empty(point_coords.size)
+    for start in range(0, values.size, FD_CHUNK):
+        stop = min(start + FD_CHUNK, values.size)
+        x = np.tile(x0, (stop - start, 1))
+        x[np.arange(stop - start), point_coords[start:stop]] += point_offsets[start:stop]
+        batch = [part.reshape((-1,) + a.shape) for part, a in zip(np.split(x, splits, axis=1), arrays)]
+        values[start:stop] = _stages(batch[:3], batch[3], base.valid_stack, base.lengths, base.gaco.masks,
+                                     base.positives, cfg, frozen_adv=base.gaco.adv).total
 
-    def value(i, x):
-        args = list(points)
-        args[i] = x
-        return forward(args[:3], args[3:], masks, positives, cfg, token_valid, frozen_adv=frozen).total
-
-    grads = [finite_difference_gradient(lambda x, i=i: value(i, x), p) for i, p in enumerate(points)]
+    f = values.reshape(coords.size, len(pairs), 2)
+    grad = np.zeros_like(x0)
+    grad[coords] = sum(w * (f[:, j, 0] - f[:, j, 1]) for j, (_, w) in enumerate(pairs))
+    grad /= FD_STENCIL["divisor"] * h
+    grads = [g.reshape(a.shape) for g, a in zip(np.split(grad, splits), arrays)]
     return GradientBundle(
-        d_features=grads[:3], d_tokens=grads[3:],
-        l_sem=base.l_sem, l_geo=base.l_geo, total=base.total,
+        d_features=grads[:3], d_tokens=[grads[3][p, :n] for p, n in enumerate(base.lengths)],
+        l_sem=base.l_sem, l_geo=base.gaco.loss, total=base.total,
     )
 
 
@@ -327,7 +367,7 @@ def nondegeneracy_margins(tr):
 
     margins["token_argmax"] = min((_top_two_gap(tr.sbars[s][p][tr.valid_stack[p]])
                                    for s in range(3) for p in range(tr.tok_stack.shape[0])), default=np.inf)
-    margins["norm_argmax"] = _top_two_gap(np.abs(tr.up).ravel())
+    margins["norm_argmax"] = _top_two_gap(np.abs(tr.gaco.up_map).ravel())
     return margins
 
 

@@ -19,29 +19,40 @@ def topk_budget(h3, w3, n_cells_coarse, ratio=0.01):
     return max(1, min(k, n_cells_coarse))
 
 
+def _flat_maps(m):
+    """A (..., H, W) stack of maps as (..., H*W) rows; an array of rank 2 or less is one map."""
+    m = np.asarray(m, dtype=np.float64)
+    return m.reshape(m.shape[:-2] + (-1,))
+
+
 def topk_select(m, k):
-    """Flat row-major indices of the k largest values; ties keep the lowest index."""
-    values = np.asarray(m, dtype=np.float64).ravel()
-    if not 1 <= k <= values.size:
-        raise DomainError(f"k={k} outside [1, {values.size}]")
+    """Flat row-major indices of the k largest values of each (H, W) map of a (..., H, W)
+    stack, in ascending order; ties keep the lowest index."""
+    values = _flat_maps(m)
+    if not 1 <= k <= values.shape[-1]:
+        raise DomainError(f"k={k} outside [1, {values.shape[-1]}]")
     # stable sort on negated values: equal entries stay in index order
-    order = np.argsort(-values, kind="stable")
-    return np.sort(order[:k])
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def pooled_logit(m, sel):
-    """Mean map value over the selected flat indices."""
-    values = np.asarray(m, dtype=np.float64).ravel()
+    """Mean map value over the selected flat indices, per map of a (..., H, W) stack;
+    sel is one index set for every map, or one per map as a (..., k) array."""
+    values = _flat_maps(m)
     sel = np.asarray(sel, dtype=np.intp)
-    return float(values[sel].mean())
+    picked = values[..., sel] if sel.ndim == 1 else np.take_along_axis(values, sel, axis=-1)
+    mean = picked.sum(axis=-1) / sel.shape[-1]  # np.mean's sum and division
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def pooled_logits(coarse_maps, k):
-    """Per-prompt pooled logits and their top-k selections on a (P, H, W) stack."""
+    """Per-prompt pooled logits and their top-k selections on a (P, H, W) stack, or on a
+    (B, P, H, W) batch of them: the logits are then (B, P) and each selection (B, k)."""
     coarse_maps = np.asarray(coarse_maps, dtype=np.float64)
-    sels = [topk_select(coarse_maps[p], k) for p in range(coarse_maps.shape[0])]
-    logits = np.array([pooled_logit(coarse_maps[p], sels[p]) for p in range(coarse_maps.shape[0])])
-    return logits, sels
+    maps = [coarse_maps[..., p, :, :] for p in range(coarse_maps.shape[-3])]
+    sels = [topk_select(m, k) for m in maps]
+    return np.array([pooled_logit(m, sel) for m, sel in zip(maps, sels)]).T, sels
 
 
 def infonce_multi_positive(logits, positives, tau=0.25):
@@ -61,11 +72,22 @@ def infonce_multi_positive(logits, positives, tau=0.25):
         raise DomainError("positives must be nonempty")
     if positives.min() < 0 or positives.max() >= logits.size:
         raise DomainError(f"positive indices {positives} outside [0, {logits.size})")
-    z = logits / tau
-    zmax = z.max()
-    lse = zmax + math.log(np.exp(z - zmax).sum())
+    return float(infonce_rows(logits, positives, tau))
+
+
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def infonce_rows(logits, positives, tau):
+    """infonce_multi_positive of a (P,) logit vector, or of each row of a (B, P) batch,
+    unchecked: positives are distinct indices and tau is positive. The log is libm's,
+    through math.log, for every row alike; numpy's vectorized log rounds about one
+    value in a thousand differently."""
+    z = logits.T / tau  # prompts first, so a batch broadcasts along the trailing axis
+    zmax = z.max(axis=0)
+    lse = zmax + np.asarray(_libm_log(np.exp(z - zmax).sum(axis=0)), dtype=np.float64)
     log_probs = z - lse
-    return float(-log_probs[positives].mean() + 0.0)
+    return -(log_probs[np.asarray(positives)].sum(axis=0) / len(positives)) + 0.0
 
 
 def pooled_infonce_backward(logits, selections, positives, shape, tau, g_loss):

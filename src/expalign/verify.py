@@ -610,22 +610,24 @@ def _eah_map_loop(rng):
 
 # name -> (group it must fail, edits (function, old, new))
 FAULTS = {
-    "gaco-sign": ("gaco", ((gaco.gaco_forward, "loss = float(-(", "loss = float(("),
+    "gaco-sign": ("gaco", ((gaco.gaco_forward, "loss = -(", "loss = ("),
                            (gaco.gaco_backward, "g_z = -(", "g_z = ("))),
     "fusion-max-pool": ("fusion", ((fusion.downsample2x, "return ((a00 + a01) + (a10 + a11)) / 4.0",
                                     "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
     "eah-map-scaled-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) * (1 + 1e-9)"),)),
     "eah-map-offset-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) + 1e-9"),)),
     "eah-shift-by-min": ("eah", ((eah.token_posterior, "logits.max()", "logits.min()"),)),
-    "sem-offset-1e-9": ("sem", ((semantic.infonce_multi_positive, "+ 0.0)", "+ 1e-9)"),)),
+    "sem-offset-1e-9": ("sem", ((semantic.infonce_rows, "+ 0.0", "+ 1e-9"),)),
     "sem-topk-ties-high": ("sem", ((semantic.topk_select, "np.argsort(-values, ",
-                                    "values.size - 1 - np.argsort(-values[::-1], "),)),
+                                    "values.shape[-1] - 1 - np.argsort(-values[..., ::-1], "),)),
     "gaco-clip-top-1.1": ("gaco", ((gaco.advantage, "-clip, clip)", "-clip, 1.1 * clip)"),)),
     "gaco-std-eps-outside": ("gaco", ((gaco.region_stats, "np.sqrt(var + eps)", "np.sqrt(var) + eps"),)),
     "gibbs-tau-pow-0.999": ("gibbs", ((variational.gibbs_closed_form, "/ prob.tau", "/ prob.tau ** 0.999"),)),
     "mil-score-offset-1e-9": ("mil", ((mil.mil_score, "instances @ weights", "instances @ weights + 1e-9"),)),
     "fd-scaled-1e-6": ("grad", ((finite_difference_gradient, "grad.reshape(point.shape)",
                                  "grad.reshape(point.shape) * (1 + 1e-6)"),)),
+    "fd-stencil-weight-1.001": ("grad", ((objective_fd_gradients, 'FD_STENCIL["pairs"]',
+                                          "((1, 8.0), (2, -1.001))"),)),
     "grad-dsbar-no-tau": ("grad", ((gradients.backward, "pi / cfg.tau_t * (", "pi * ("),)),
     "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
                                      "flat[p, sel[0]] = d_logit[p]"),)),

@@ -117,7 +117,7 @@ def test_criterion_3_gibbs_invariances():
 
 
 def test_criterion_4_gradient_checks():
-    with criterion(4, "analytic vs central differences on 20 non-degenerate configs (<= 1e-5)", 60.0):
+    with criterion(4, "analytic vs finite differences on 20 non-degenerate configs (<= 1e-5)", 60.0):
         worst = 0.0
         for case in find_gradcheck_cases(20, base_seed=4000):
             err, _ = run_gradcheck_case(case)

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from expalign import gradients
 from expalign.errors import DimensionError, DomainError
 from expalign.gaco import GacoConfig, confidence, gaco_forward
 from expalign.gradients import (
+    FD_STENCIL,
     ObjectiveConfig,
     backward,
     coerce_inputs,
@@ -52,7 +54,7 @@ class TestObjective:
         features, toks, valid, masks = small_problem(1)
         cfg = ObjectiveConfig(lambda_sem=0.5, lambda_geo=1.0)
         val = objective(features, toks, masks, [0, 1], cfg, valid)
-        assert abs(val.total - (0.5 * val.l_sem + 1.0 * val.l_geo)) <= 1e-15
+        assert abs(val.total - (0.5 * val.l_sem + 1.0 * val.gaco.loss)) <= 1e-15
 
     def test_worked_example_scene(self):
         # checkerboard {0, 2 ln 3} at the fine scale, zero coarser features,
@@ -176,6 +178,79 @@ class TestFiniteDifferences:
         assert np.abs(g - w).max() <= 1e-10
 
 
+def loop_fd_gradients(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_valid=None):
+    """Reference for objective_fd_gradients: FD_STENCIL one coordinate at a time, one public
+    forward per perturbed point, with the advantage frozen at the base point."""
+    frozen = forward(features, tokens, masks, positives, cfg, token_valid).gaco.adv
+    h, pairs, divisor = FD_STENCIL["step"], FD_STENCIL["pairs"], FD_STENCIL["divisor"]
+    points = [np.array(p, dtype=np.float64) for p in list(features) + list(tokens)]
+
+    def value():
+        return forward(points[:3], points[3:], masks, positives, cfg, token_valid, frozen_adv=frozen).total
+
+    grads = []
+    for point in points:
+        flat = point.reshape(-1)  # a view: writing a coordinate moves the point
+        grad = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            diffs = []
+            for o, _ in pairs:
+                flat[i] = orig + o * h
+                above = value()
+                flat[i] = orig - o * h
+                diffs.append(above - value())
+            flat[i] = orig
+            grad[i] = sum(w * d for (_, w), d in zip(pairs, diffs)) / (divisor * h)
+        grads.append(grad.reshape(point.shape))
+    return grads
+
+
+def ragged_problem():
+    rng = np.random.default_rng(7)
+    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
+    toks = [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]
+    masks = np.zeros((2, 8, 8), dtype=bool)
+    masks[0, :2, :2] = True
+    return features, toks, masks
+
+
+def oracle_cases():
+    """Two of criterion 4's cases, a ragged one, and one under normalize=False, std_plus_eps."""
+    cases = find_gradcheck_cases(2, base_seed=4000)
+    features, toks, masks = ragged_problem()
+    cases.append({"features": features, "tokens": toks, "valid": None, "masks": masks, "positives": [0],
+                  "cfg": ObjectiveConfig()})
+    cfg = ObjectiveConfig(gaco=GacoConfig(normalize=False, std_mode="std_plus_eps"))
+    return cases + find_gradcheck_cases(1, base_seed=4000, cfg=cfg)
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("index", range(4), ids=["criterion-4-a", "criterion-4-b", "ragged", "unnormalized"])
+    def test_matches_the_per_coordinate_loop(self, index):
+        case = oracle_cases()[index]
+        args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+        batched = objective_fd_gradients(*args)
+        looped = loop_fd_gradients(*args)
+        for got, want in zip(batched.d_features + batched.d_tokens, looped):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10
+        for p, v in enumerate(case["valid"] or []):
+            assert not batched.d_tokens[p][~v].any() and not looped[3 + p][~v].any()  # pad tokens: exactly 0
+
+    def test_chunk_size_leaves_the_bytes(self, monkeypatch):
+        case = find_gradcheck_cases(1, base_seed=4000)[0]
+        args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+        points = 2 * len(FD_STENCIL["pairs"]) * sum(np.size(a) for a in case["features"] + case["tokens"])
+        runs = []
+        for chunk in (48, 128):  # 48 divides the point count, 128 does not
+            monkeypatch.setattr(gradients, "FD_CHUNK", chunk)
+            runs.append(objective_fd_gradients(*args))
+        assert points % 48 == 0 and points % 128 != 0
+        for a, b in zip(runs[0].d_features + runs[0].d_tokens, runs[1].d_features + runs[1].d_tokens):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestFullGradients:
     def test_zero_weights_give_zero_gradients(self):
         features, toks, valid, masks = small_problem(4)
@@ -208,11 +283,7 @@ class TestFullGradients:
             relative_gradient_error(corrupt(bundle), bundle)
 
     def test_ragged_token_counts_supported(self):
-        rng = np.random.default_rng(7)
-        features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
-        toks = [rng.normal(size=(5, 3)), rng.normal(size=(2, 3))]
-        masks = np.zeros((2, 8, 8), dtype=bool)
-        masks[0, :2, :2] = True
+        features, toks, masks = ragged_problem()
         an = objective_with_gradients(features, toks, masks, [0])
         fd = objective_fd_gradients(features, toks, masks, [0])
         assert an.d_tokens[0].shape == (5, 3) and an.d_tokens[1].shape == (2, 3)
@@ -268,7 +339,7 @@ class TestNondegeneracyScreen:
         return {"topk": min(gap(desc(v), tr.k) for v in tr.dw.reshape(tr.dw.shape[0], -1)),
                 "token_argmax": min(gap(desc(s[p][tr.valid_stack[p]]), 1)
                                     for s in tr.sbars for p in range(len(s))),
-                "norm_argmax": gap(desc(np.abs(tr.up).ravel()), 1)}
+                "norm_argmax": gap(desc(np.abs(tr.gaco.up_map).ravel()), 1)}
 
     def test_selection_matches_sorted_form_bitwise(self):
         traces = []
@@ -276,11 +347,12 @@ class TestNondegeneracyScreen:
             features, toks, valid, masks = small_problem(seed, prompts=3, h3=16)
             tr = forward(features, toks, masks, [0], token_valid=valid)
             traces += [tr, replace(tr, k=tr.dw[0].size),  # k = N: no cut
-                       replace(tr, dw=np.round(tr.dw * 4) / 4, up=np.round(tr.up * 4) / 4,  # ties
+                       replace(tr, dw=np.round(tr.dw * 4) / 4,  # ties
+                               gaco=replace(tr.gaco, up_map=np.round(tr.gaco.up_map * 4) / 4),
                                sbars=[np.round(s * 4) / 4 for s in tr.sbars])]
         features, toks, _, masks = small_problem(5, prompts=1, tokens=1, h3=4)
         tr = forward(features, toks, masks, [0])  # one coarse cell and one token
-        traces += [tr, replace(tr, up=tr.up[:, :1, :1])]  # one fine cell
+        traces += [tr, replace(tr, gaco=replace(tr.gaco, up_map=tr.gaco.up_map[:, :1, :1]))]  # one fine cell
         for tr in traces:
             margins, expected = nondegeneracy_margins(tr), self.sorted_margins(tr)
             assert {key: margins[key] for key in expected} == expected
@@ -291,7 +363,7 @@ class TestNondegeneracyScreen:
         tr = forward(features, toks, masks, [0], ObjectiveConfig(gaco=GacoConfig(clip=0.5, normalize=False)), valid)
         zpre = []
         for p in range(len(toks)):
-            conf = confidence(tr.up[p][masks[p]])
+            conf = confidence(tr.gaco.up_map[p][masks[p]])
             zpre.append((conf - conf.mean()) / np.sqrt(conf.var() + 1e-6))
         zpre = np.concatenate(zpre)
         margin = lambda c: float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c))))
@@ -320,4 +392,4 @@ class TestFusedMaps:
         tr = forward(features, toks, masks, [0], token_valid=valid)
         dw, up = fused_maps(features, toks, 1.0, valid)
         np.testing.assert_array_equal(dw, tr.dw)
-        np.testing.assert_array_equal(up, tr.up)
+        np.testing.assert_array_equal(up, tr.gaco.up_map)

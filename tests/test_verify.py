@@ -40,6 +40,14 @@ def test_registered_checks_pass(group, seed):
     assert not failed, "\n".join(failed)
 
 
+@pytest.mark.parametrize("seed", [39, 349])
+def test_grad_group_passes_where_central_differences_failed(seed):
+    # with h = 1e-4 central differences grad_full_objective read 1.751e-4 at seed 39 and
+    # 3.72e-5 at seed 349, against 1e-5: rounding noise on coordinates near 1e-7
+    failed = failures(verify.run_suite(groups=["grad"], seed=seed))
+    assert not failed, "\n".join(failed)
+
+
 @pytest.mark.parametrize("group", GROUPS)
 def test_planted_fault_fails_its_group(group):
     faults = [name for name, (target, _) in verify.FAULTS.items() if target == group]
@@ -98,7 +106,7 @@ def test_gaco_sign_reaches_by_name_imports(monkeypatch):
     # gradients imports gaco_forward by name; the planted code reaches that binding too
     case = verify.find_gradcheck_cases(1, base_seed=4000)[0]
     args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
-    l_geo = lambda rng: (gradients.objective(*args).l_geo, "")
+    l_geo = lambda rng: (gradients.objective(*args).gaco.loss, "")
     monkeypatch.setattr(verify, "_CHECKS", [("l_geo", "gaco", np.inf, l_geo)])
     clean = l_geo(None)[0]
     assert clean != 0.0
