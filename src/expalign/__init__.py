@@ -1,7 +1,9 @@
 """Expectation alignment maps, multi-scale consistency losses, and their verification suite.
 
 The top level exports the quick-start names only; everything else is imported
-from its submodule (expalign.eah, expalign.gaco, expalign.synth, ...).
+from its submodule (expalign.gradients, expalign.gaco, expalign.synth, ...).
+The loss runs the rank-C head in expalign.gradients; expalign.eah keeps the
+tensor form as a reference for the tests and the benchmark.
 """
 
 from .errors import DimensionError, DomainError, SceneFormatError

@@ -9,6 +9,7 @@ is given, and exit nonzero when any requested check fails.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -235,7 +236,9 @@ def cmd_suite(args, settings, cfg):
     report = {
         "seed": settings["seed"],
         "fault": args.fault,
-        "checks": [asdict(r) for r in results],
+        # JSON has no NaN: a non-finite residual, such as a check that raised, is null
+        "checks": [{**asdict(r), "residual": r.residual if math.isfinite(r.residual) else None}
+                   for r in results],
         "all_passed": all_passed,
     }
     lines = [

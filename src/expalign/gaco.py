@@ -64,11 +64,6 @@ def log_joint_softmax(m):
     return (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(np.shape(m))
 
 
-def joint_softmax(m):
-    """The pair distribution the loss uses: exp of log_joint_softmax."""
-    return np.exp(log_joint_softmax(m))
-
-
 def confidence(m):
     """Bounded local alignment confidence: elementwise logistic sigmoid."""
     m = np.asarray(m, dtype=np.float64)

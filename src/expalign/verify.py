@@ -12,8 +12,9 @@ row holds the check group the fault must fail and its edits
 run_suite(fault=name) compiles each function's source with the one occurrence
 of old replaced by new and swaps the result in as the function's __code__, so
 every binding of the function, by-name imports included, runs the fault; the
-original code is restored in a finally, so a check that raises leaves the
-library unfaulted. Sources are read only when a fault is planted. A new
+original code is restored in a finally. A check that raises is a failed
+check, with residual NaN and the exception in its detail, and the checks
+after it still run. Sources are read only when a fault is planted. A new
 mutant is one row.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eah, fusion, gaco, gradients, mil, semantic, variational
+from . import fusion, gaco, gradients, semantic, variational
 from .errors import DomainError
 from .gradients import (
     ObjectiveConfig,
@@ -110,12 +111,37 @@ def _fusion_roundtrip(rng):
 
 
 # ------------------------------------------------------------------- eah
+# The eah and mil checks run the head the loss runs, gradients._head, one prompt
+# at a time, against _loop_head's per-cell evaluation.
+
+def _draw_head_inputs(rng, h, w, l, c=4):
+    """(C, H, W) features and (L, C) tokens whose similarities are standard normal."""
+    return rng.normal(size=(c, h, w)), rng.normal(size=(l, c)) / math.sqrt(c)
+
+
+def _prompt_head(features, tokens, valid, tau_t=1.0):
+    """gradients._head on one prompt: its posterior (L,) and its map (H, W)."""
+    _, pi, _, eam = gradients._head(features, tokens[None], valid[None], tau_t)
+    return pi[0], eam[0]
+
+
+def _loop_head(features, tokens, valid, tau_t=1.0):
+    """The head one cell at a time: sim[x, y] = T @ F[:, x, y], the softmax over
+    valid tokens of sim's spatial mean, and the map pi @ sim[x, y]; returns
+    (sim (H, W, L), pi (L,), map (H, W))."""
+    _, h, w = features.shape
+    sim = np.array([[tokens @ features[:, x, y] for y in range(w)] for x in range(h)])
+    logits = sim.mean(axis=(0, 1))[valid] / tau_t
+    e = np.exp(logits - logits.max())
+    pi = np.zeros(len(tokens))
+    pi[valid] = e / e.sum()
+    return sim, pi, sim @ pi
+
 
 @_register("eah_posterior_normalization", "eah", 1e-12)
 def _eah_norm(rng):
-    sim = rng.normal(size=(5, 7, 6))
     valid = np.array([True, False, True, True, False, True])
-    pi = eah.token_posterior(sim, valid, tau_t=0.7)
+    pi, _ = _prompt_head(*_draw_head_inputs(rng, 5, 7, 6), valid, tau_t=0.7)
     residual = abs(float(pi.sum()) - 1.0)
     residual = _worst(residual, float(np.abs(pi[~valid]).max()))
     return residual, "weights sum to 1; pad weights exactly 0"
@@ -123,40 +149,38 @@ def _eah_norm(rng):
 
 @_register("eah_temperature_limits", "eah", 1e-5)
 def _eah_limits(rng):
-    sim = rng.normal(size=(4, 4, 5))
+    features, tokens = _draw_head_inputs(rng, 4, 4, 5)
     valid = np.array([True, True, True, True, False])
-    hot = eah.token_posterior(sim, valid, tau_t=1e6)
-    uniform = valid / valid.sum()
-    r = float(np.abs(hot - uniform).max())
-    eam_hot = eah.expectation_map(sim, hot)
+    sim, _, _ = _loop_head(features, tokens, valid)
+    hot, eam_hot = _prompt_head(features, tokens, valid, tau_t=1e6)
+    r = float(np.abs(hot - valid / valid.sum()).max())
     r = _worst(r, float(np.abs(eam_hot - sim[:, :, valid].mean(axis=2)).max()))
-    cold = eah.token_posterior(sim, valid, tau_t=1e-6)
-    sbar = sim.mean(axis=(0, 1))
-    best = int(np.argmax(np.where(valid, sbar, -np.inf)))
-    onehot = np.zeros(5)
-    onehot[best] = 1.0
-    r = _worst(r, float(np.abs(cold - onehot).max()))
-    r = _worst(r, float(np.abs(eah.expectation_map(sim, cold) - sim[:, :, best]).max()))
+    cold, eam_cold = _prompt_head(features, tokens, valid, tau_t=1e-6)
+    best = int(np.argmax(np.where(valid, sim.mean(axis=(0, 1)), -np.inf)))
+    r = _worst(r, float(np.abs(cold - np.eye(5)[best]).max()))
+    r = _worst(r, float(np.abs(eam_cold - sim[:, :, best]).max()))
     return r, "tau -> inf gives the token mean, tau -> 0 the argmax token map"
 
 
 @_register("eah_constant_shift", "eah", 1e-10)
 def _eah_shift(rng):
-    sim = rng.normal(size=(3, 5, 4))
+    features, tokens = _draw_head_inputs(rng, 3, 5, 4)
     valid = np.ones(4, dtype=bool)
     k = float(rng.normal())
-    base = eah.expectation_map(sim, eah.token_posterior(sim, valid))
-    shifted = eah.expectation_map(sim + k, eah.token_posterior(sim + k, valid))
-    return float(np.abs(shifted - base - k).max()), "adding k to every similarity shifts the map by k"
+    # a channel of ones in the features, weighted k in every token, adds k to every similarity
+    shifted = _prompt_head(np.concatenate([features, np.ones((1, 3, 5))]),
+                           np.hstack([tokens, np.full((4, 1), k)]), valid)[1]
+    return float(np.abs(shifted - _prompt_head(features, tokens, valid)[1] - k).max()), \
+        "adding k to every similarity shifts the map by k"
 
 
 @_register("eah_token_permutation", "eah", 1e-12)
 def _eah_perm(rng):
-    sim = rng.normal(size=(4, 6, 5))
+    features, tokens = _draw_head_inputs(rng, 4, 6, 5)
     valid = np.array([True, True, False, True, True])
-    base = eah.expectation_map(sim, eah.token_posterior(sim, valid))
+    base = _prompt_head(features, tokens, valid)[1]
     perm = rng.permutation(5)
-    permuted = eah.expectation_map(sim[:, :, perm], eah.token_posterior(sim[:, :, perm], valid[perm]))
+    permuted = _prompt_head(features, tokens[perm], valid[perm])[1]
     return float(np.abs(permuted - base).max()), "token reorder with its mask leaves the map unchanged"
 
 
@@ -225,7 +249,7 @@ def _sem_nonneg(rng):
 
 @_register("gaco_prob_normalization", "gaco", 1e-10)
 def _gaco_norm(rng):
-    probs = gaco.joint_softmax(rng.normal(size=(3, 4, 4)) * 3)
+    probs = np.exp(gaco.log_joint_softmax(rng.normal(size=(3, 4, 4)) * 3))
     return abs(float(probs.sum()) - 1.0), ""
 
 
@@ -233,7 +257,7 @@ def _gaco_norm(rng):
 def _gaco_shift(rng):
     m = rng.normal(size=(2, 4, 4))
     k = float(rng.normal()) * 5
-    return float(np.abs(gaco.joint_softmax(m + k) - gaco.joint_softmax(m)).max()), \
+    return float(np.abs(np.exp(gaco.log_joint_softmax(m + k)) - np.exp(gaco.log_joint_softmax(m))).max()), \
         "the pair distribution ignores additive shifts"
 
 
@@ -396,7 +420,7 @@ def _gibbs_softmax(rng):
     lam = 0.7
     prob = variational.GibbsProblem(-up_map, adv, tau=1.0, lam=lam)
     q = variational.gibbs_closed_form(prob)
-    return float(np.abs(q - gaco.joint_softmax(up_map + lam * adv)).max()), \
+    return float(np.abs(q - np.exp(gaco.log_joint_softmax(up_map + lam * adv))).max()), \
         "E = -map recovers the geometry-shifted pair distribution"
 
 
@@ -415,14 +439,13 @@ def _mil_equiv(rng):
     worst = 0.0
     for _ in range(25):
         h, w, l = (int(rng.integers(1, 9)) for _ in range(3))
-        sim = rng.normal(size=(h, w, l))
+        features, tokens = _draw_head_inputs(rng, h, w, l)
         valid = rng.random(size=l) < 0.8
         if not valid.any():
             valid[0] = True
-        pi = eah.token_posterior(sim, valid)
-        eam = eah.expectation_map(sim, pi)
-        scores = mil.mil_score(mil.instance_vectors(sim), pi)
-        worst = _worst(worst, float(np.abs(scores - eam.ravel()).max()))
+        pi, eam = _prompt_head(features, tokens, valid)
+        sim, _, _ = _loop_head(features, tokens, valid)
+        worst = _worst(worst, float(np.abs(sim.reshape(-1, l) @ pi - eam.ravel()).max()))
     return worst, "instance scores equal the flattened expectation map"
 
 
@@ -430,28 +453,28 @@ def _mil_equiv(rng):
 def _mil_perm(rng):
     scores = rng.normal(size=30)
     k = 7
-    base = mil.bag_logit(scores, k)
-    return abs(mil.bag_logit(scores[rng.permutation(30)], k) - base), ""
+    base = semantic.pooled_logit(scores, semantic.topk_select(scores, k))
+    shuffled = scores[rng.permutation(30)]
+    return abs(semantic.pooled_logit(shuffled, semantic.topk_select(shuffled, k)) - base), ""
 
 
 @_register("mil_pooling_limits", "mil", 1e-12)
 def _mil_limits(rng):
     scores = rng.normal(size=17)
-    r = abs(mil.bag_logit(scores, 1) - scores.max())
-    r = _worst(r, abs(mil.bag_logit(scores, 17) - scores.mean()))
+    r = abs(semantic.pooled_logit(scores, semantic.topk_select(scores, 1)) - scores.max())
+    r = _worst(r, abs(semantic.pooled_logit(scores, semantic.topk_select(scores, 17)) - scores.mean()))
     return r, "k = 1 is max pooling, k = N is mean pooling"
 
 
 @_register("mil_posterior_set_invariance", "mil", 1e-12)
 def _mil_set(rng):
-    sim = rng.normal(size=(5, 4, 6))
+    features, tokens = _draw_head_inputs(rng, 5, 4, 6)
     valid = np.ones(6, dtype=bool)
-    pi = eah.token_posterior(sim, valid)
-    flat = sim.reshape(-1, 6)
-    perm = rng.permutation(flat.shape[0])
-    shuffled = flat[perm].reshape(5, 4, 6)
-    pi2 = eah.token_posterior(shuffled, valid)
-    return float(np.abs(pi - pi2).max()), "posterior depends on the instance set only"
+    perm = rng.permutation(20)
+    shuffled = features.reshape(4, -1)[:, perm].reshape(4, 5, 4)
+    pi = _prompt_head(features, tokens, valid)[0]
+    return float(np.abs(_prompt_head(shuffled, tokens, valid)[0] - pi).max()), \
+        "posterior depends on the instance set only"
 
 
 # ------------------------------------------------------------------ grad
@@ -600,10 +623,13 @@ def _grad_sweep(rng):
 
 @_register("eah_map_loop_oracle", "eah", 1e-12)
 def _eah_map_loop(rng):
-    sim = rng.normal(size=(5, 6, 4))
-    pi = rng.dirichlet(np.ones(4))
-    expected = sum(pi[l] * sim[:, :, l] for l in range(4))
-    return float(np.abs(eah.expectation_map(sim, pi) - expected).max()), "sum_l pi_l * sim[:, :, l] as a loop"
+    features, tokens = _draw_head_inputs(rng, 5, 6, 4)
+    valid = np.array([True, True, False, True])
+    tau_t = float(np.exp(rng.normal() * 0.3))
+    pi, eam = _prompt_head(features, tokens, valid, tau_t)
+    _, pi_loop, eam_loop = _loop_head(features, tokens, valid, tau_t)
+    return _worst(float(np.abs(pi - pi_loop).max()), float(np.abs(eam - eam_loop).max())), \
+        "sum_l pi_l * sim[:, :, l] as a loop"
 
 
 # ---------------------------------------------------------------- faults
@@ -614,16 +640,16 @@ FAULTS = {
                            (gaco.gaco_backward, "g_z = -(", "g_z = ("))),
     "fusion-max-pool": ("fusion", ((fusion.downsample2x, "return ((a00 + a01) + (a10 + a11)) / 4.0",
                                     "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
-    "eah-map-scaled-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) * (1 + 1e-9)"),)),
-    "eah-map-offset-1e-9": ("eah", ((eah.expectation_map, "sim, weights)", "sim, weights) + 1e-9"),)),
-    "eah-shift-by-min": ("eah", ((eah.token_posterior, "logits.max()", "logits.min()"),)),
+    "eah-map-scaled-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat * (1 + 1e-9))"),)),
+    "eah-map-offset-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat + 1e-9)"),)),
+    "eah-shift-by-min": ("eah", ((gradients._masked_posteriors, "z.max(", "z.min("),)),
     "sem-offset-1e-9": ("sem", ((semantic.infonce_rows, "+ 0.0", "+ 1e-9"),)),
     "sem-topk-ties-high": ("sem", ((semantic.topk_select, "np.argsort(-values, ",
                                     "values.shape[-1] - 1 - np.argsort(-values[..., ::-1], "),)),
     "gaco-clip-top-1.1": ("gaco", ((gaco.advantage, "-clip, clip)", "-clip, 1.1 * clip)"),)),
     "gaco-std-eps-outside": ("gaco", ((gaco.region_stats, "np.sqrt(var + eps)", "np.sqrt(var) + eps"),)),
     "gibbs-tau-pow-0.999": ("gibbs", ((variational.gibbs_closed_form, "/ prob.tau", "/ prob.tau ** 0.999"),)),
-    "mil-score-offset-1e-9": ("mil", ((mil.mil_score, "instances @ weights", "instances @ weights + 1e-9"),)),
+    "mil-score-offset-1e-9": ("mil", ((semantic.pooled_logit, "/ sel.shape[-1]", "/ sel.shape[-1] + 1e-9"),)),
     "fd-scaled-1e-6": ("grad", ((finite_difference_gradient, "grad.reshape(point.shape)",
                                  "grad.reshape(point.shape) * (1 + 1e-6)"),)),
     "fd-stencil-weight-1.001": ("grad", ((objective_fd_gradients, 'FD_STENCIL["pairs"]',
@@ -647,7 +673,8 @@ def _edited_code(function, old, new):
 
 def run_suite(groups=None, seed=0, fault=None):
     """Run the registered checks, with the named fault's edits planted if
-    fault is given; results are ordered by registry index."""
+    fault is given; results are ordered by registry index, and a check that
+    raises is recorded as failed."""
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     known = sorted({group for _, group, _, _ in _CHECKS})
@@ -665,7 +692,10 @@ def run_suite(groups=None, seed=0, fault=None):
             if groups is not None and group not in groups:
                 continue
             rng = np.random.default_rng([seed, i])
-            residual, detail = fn(rng)
+            try:
+                residual, detail = fn(rng)
+            except Exception as e:  # a check that raises fails, and the others still run
+                residual, detail = math.nan, f"raised {type(e).__name__}: {e}"
             results.append(CheckResult(name=name, group=group, passed=bool(residual <= tol),
                                        residual=float(residual), tolerance=float(tol), detail=detail))
     finally:

@@ -11,10 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import run_cli
+from expalign import gradients
 from expalign.eah import expectation_map, token_posterior
 from expalign.gaco import GacoConfig, gaco_forward
 from expalign.gradients import ObjectiveConfig, objective
-from expalign.mil import instance_vectors, mil_score
 from expalign.semantic import infonce_multi_positive
 from expalign.synth import (
     BENCHMARK_SEEDS,
@@ -64,10 +64,11 @@ def test_criterion_1_mil_equivalence():
                 valid = rng.random(l) < 0.85
                 if not valid.any():
                     valid[0] = True
-                pi = token_posterior(sim, valid, tau_t=float(np.exp(rng.normal() * 0.3)))
-                scores = mil_score(instance_vectors(sim), pi)
-                eam = expectation_map(sim, pi)
-                worst = max(worst, float(np.abs(scores - eam.ravel()).max()))
+                # under identity tokens the instances' affinity vectors are the head's features
+                _, pi, _, eam = gradients._head(sim.transpose(2, 0, 1), np.eye(l)[None], valid[None],
+                                                float(np.exp(rng.normal() * 0.3)))
+                scores = sim.reshape(-1, l) @ pi[0]
+                worst = max(worst, float(np.abs(scores - eam[0].ravel()).max()))
         assert worst <= 1e-12, f"max deviation {worst:.3e}"
 
 

@@ -198,6 +198,27 @@ class TestVerifyCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failed == {"gaco_worked_example", "gaco_gradient_sign"}
 
+    def test_nan_and_raising_checks_reported(self, tmp_path):
+        # the fault makes a posterior with a pad token NaN, and grad_config_sweep raise on
+        # the NaN features it derives; the JSON could not hold the NaN, so nothing was reported
+        def reject(constant):
+            raise AssertionError(f"{constant} in the verify report")
+
+        fault = ["verify", "--inject-fault", "eah-shift-by-min"]
+        res = run_cli([*fault, "--json", "--out", "report.json"], cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert (tmp_path / "report.json").read_text() == res.stdout
+        checks = {c["name"]: c for c in json.loads(res.stdout, parse_constant=reject)["checks"]}
+        assert len(checks) == len(verify._CHECKS)
+        sweep = checks["grad_config_sweep"]
+        assert not sweep["passed"] and sweep["residual"] is None
+        assert sweep["detail"] == "raised DomainError: feature values must be finite"
+        assert checks["eah_temperature_limits"]["residual"] is None
+        table = run_cli(fault, cwd=tmp_path)
+        assert table.returncode == 1, table.stderr
+        assert "FAIL eah_temperature_limits             residual=nan tol=1.0e-05" in table.stdout
+        assert table.stdout.endswith(f"FAILURES detected ({sum(c['passed'] for c in checks.values())}/41)\n")
+
     def test_fault_outside_the_subcommand_groups_rejected(self, tmp_path):
         res = run_cli(["mil", "--inject-fault", "gaco-sign"], cwd=tmp_path)
         assert res.returncode == 2, res.stdout

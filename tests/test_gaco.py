@@ -11,7 +11,6 @@ from expalign.gaco import (
     confidence,
     gaco_backward,
     gaco_forward,
-    joint_softmax,
     log_joint_softmax,
     normalize_sim,
     region_stats,
@@ -94,16 +93,16 @@ class TestNormalizeSim:
 
 class TestJointSoftmax:
     def test_uniform_map(self):
-        probs = joint_softmax(np.zeros((2, 2, 2)))
+        probs = np.exp(log_joint_softmax(np.zeros((2, 2, 2))))
         np.testing.assert_allclose(probs, 1 / 8, atol=1e-15)
 
     def test_dominant_cell_concentrates(self):
         m = np.zeros((1, 2, 2))
         m[0, 0, 0] = 50.0
-        assert joint_softmax(m)[0, 0, 0] > 1.0 - 1e-15
+        assert np.exp(log_joint_softmax(m))[0, 0, 0] > 1.0 - 1e-15
 
     def test_direct_evaluation(self):
-        probs = joint_softmax(np.array([[[0.0, math.log(3.0)]]]))
+        probs = np.exp(log_joint_softmax(np.array([[[0.0, math.log(3.0)]]])))
         np.testing.assert_allclose(probs, [[[0.25, 0.75]]], atol=1e-15)
 
     def test_bitwise_equal_to_the_loss_distribution(self):
@@ -113,7 +112,7 @@ class TestJointSoftmax:
         for cfg in (GacoConfig(normalize=False), GacoConfig(normalize=True)):
             z = normalize_sim(m, cfg.eps) if cfg.normalize else m
             ref = np.exp(gaco_forward(m, masks, cfg).log_probs)
-            assert np.array_equal(joint_softmax(z).view(np.int64), ref.view(np.int64))
+            assert np.array_equal(np.exp(log_joint_softmax(z)).view(np.int64), ref.view(np.int64))
 
 
 class TestConfidence:
@@ -244,7 +243,7 @@ class TestChainProperties:
         cfg = GacoConfig(eps=1e-9, normalize=True)
         res = gaco_forward(m, masks, cfg)
         z = m / (np.abs(m).max() + cfg.eps)
-        np.testing.assert_allclose(np.exp(res.log_probs), joint_softmax(z), atol=1e-14)
+        np.testing.assert_allclose(np.exp(res.log_probs), np.exp(log_joint_softmax(z)), atol=1e-14)
         np.testing.assert_allclose(res.conf, confidence(z)[masks], atol=1e-14)
 
 

@@ -64,6 +64,14 @@ def test_nan_residual_fails_its_check():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("fault", ["eah-map-scaled-1e-9", "eah-map-offset-1e-9"])
+def test_head_map_edits_fail_eah(fault, seed):
+    # both edit the maps of gradients._head, the head the loss runs; while the eah group
+    # checked the tensor form in eah.py instead, they passed every check at every seed
+    assert failures(faulted_run(fault, groups=["eah"], seed=seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_loose_clip_fails_gaco_bounds(seed):
     # the check's draw has one region whose top advantage passes the clip at every seed
     results = faulted_run("gaco-clip-top-1.1", groups=["gaco"], seed=seed)
@@ -134,9 +142,11 @@ def test_faulted_run_restores_every_patched_attribute(monkeypatch, fault):
     originals = [(function, function.__code__) for function, _, _ in edits]
     faulted_run(fault, groups=[group], seed=0)
     assert all(function.__code__ is code for function, code in originals)
-    # a check that raises after the first one ran
+    # a check that raises between two others is a failed check, and the one after it runs
     monkeypatch.setattr(verify, "_CHECKS", [verify._CHECKS[0], ("raises", "fusion", 0.0, _raises),
-                                            *verify._CHECKS[1:]])
-    with pytest.raises(RuntimeError, match="check crashed"):
-        faulted_run(fault, seed=0)
+                                            verify._CHECKS[1]])
+    _, crashed, after = faulted_run(fault, seed=0)
+    assert not crashed.passed and np.isnan(crashed.residual)
+    assert crashed.detail == "raised RuntimeError: check crashed"
+    assert after.name == verify._CHECKS[2][0]
     assert all(function.__code__ is code for function, code in originals)
