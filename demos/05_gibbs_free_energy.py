@@ -34,8 +34,8 @@ print("KL(numeric || closed):", kl_divergence(res.q, closed))
 print("F[closed] =", round(free_energy(closed, prob), 6),
       " F[numeric] =", round(free_energy(res.q, prob), 6))
 
-worst = max(free_energy(q, prob) for q in random_simplex(rng, n, count=2000))
-best = min(free_energy(q, prob) for q in random_simplex(rng, n, count=2000))
+worst = float(free_energy(random_simplex(rng, n, count=2000), prob).max())
+best = float(free_energy(random_simplex(rng, n, count=2000), prob).min())
 print(f"2000 random simplex points: F in [{best:.4f}, {worst:.4f}],"
       f" none below F[closed] = {free_energy(closed, prob):.4f}")
 

@@ -12,10 +12,10 @@ Internally prompts are padded to a common token count and processed batched;
 pad tokens carry exactly zero posterior weight and zero gradient, so padding
 is semantically invisible.
 
-The stages after coerce_inputs are written once, over an optional leading
-batch axis on the features and the token stack: forward runs them on one
-image, and the finite-difference oracle runs them on chunks of perturbed
-copies of one image, under the advantage frozen at its base point.
+The head and the loss tail after it (_losses) are written once, over an
+optional leading batch axis: forward runs them on one image, and the
+finite-difference oracle runs them on chunks of perturbed copies of one
+image's features or tokens, under the advantage frozen at its base point.
 
 Stop-gradient conventions, fixed here and honored by the finite-difference
 oracle: the advantage tensor is a constant under differentiation, top-k index
@@ -136,9 +136,7 @@ def _head(fv, tok_stack, valid_stack, tau_t):
 
 @dataclass
 class Trace:
-    """Every forward intermediate needed by the backward pass. A batched run of the
-    stages gives each per-image field its leading batch axis; only forward's
-    single-image Trace goes to the backward pass."""
+    """Every forward intermediate of one image needed by the backward pass."""
 
     fvals: list
     tok_stack: np.ndarray    # (P, Lmax, C)
@@ -169,17 +167,18 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     if masks.shape != (n_prompts, h3, w3):
         raise DimensionError(f"masks must be ({n_prompts}, {h3}, {w3}), got {masks.shape}")
     pos = tuple(sorted(set(int(p) for p in positives)))
-    return _stages(fvals, tok_stack, valid_stack, lengths, masks, pos, cfg, frozen_adv)
-
-
-def _stages(fvals, tok_stack, valid_stack, lengths, masks, pos, cfg, frozen_adv=None):
-    """The forward after coerce_inputs, on one image or, with frozen_adv, on a leading
-    batch axis of the features and the token stack: the head, the fusion, top-k pooling
-    with InfoNCE and the geometry loss. One image makes one call per prompt to
-    semantic.topk_select and per region to gaco.region_stats, which the
-    benchmark's tracer counts."""
     sbars, pis, ws, eams = zip(*(_head(fv, tok_stack, valid_stack, cfg.tau_t) for fv in fvals))
+    return Trace(fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
+                 sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), positives=pos, cfg=cfg,
+                 **_losses(eams, masks, pos, cfg, frozen_adv))
 
+
+def _losses(eams, masks, pos, cfg, frozen_adv=None):
+    """The forward after the heads, as the Trace fields it fills: the fusion, top-k
+    pooling with InfoNCE and the geometry loss. eams are the three scales' maps of one
+    image or, with frozen_adv, stacks of them on a common leading batch axis. One image
+    makes one call per prompt to semantic.topk_select and per region to
+    gaco.region_stats, which the benchmark's tracer counts."""
     dw = fusion.fuse_down(eams[0], eams[1], eams[2])
     up = fusion.fuse_up(eams[0], eams[1], eams[2])
 
@@ -190,14 +189,8 @@ def _stages(fvals, tok_stack, valid_stack, lengths, masks, pos, cfg, frozen_adv=
     l_sem = (semantic.infonce_multi_positive if logits.ndim == 1 else semantic.infonce_rows)(logits, pos, cfg.tau)
 
     g = gaco_forward(up, masks, cfg.gaco, frozen_adv=frozen_adv)
-    total = cfg.lambda_sem * l_sem + cfg.lambda_geo * g.loss
-
-    return Trace(
-        fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
-        sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), dw=dw, k=k,
-        selections=selections, logits=logits, positives=pos, l_sem=l_sem, gaco=g, total=total,
-        cfg=cfg,
-    )
+    return dict(dw=dw, k=k, selections=selections, logits=logits, l_sem=l_sem, gaco=g,
+                total=cfg.lambda_sem * l_sem + cfg.lambda_geo * g.loss)
 
 
 def objective(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_valid=None):
@@ -289,36 +282,38 @@ def objective_fd_gradients(features, tokens, masks, positives,
 
     The base forward coerces the inputs once and fixes the advantage, which stays
     frozen at the base point, so the numeric gradient measures the same function
-    the analytic pass differentiates. Every perturbed point (each coordinate of
-    the features and of each prompt's tokens, moved by each stencil offset) then
-    runs through the batched stages, FD_CHUNK points per call.
+    the analytic pass differentiates. The perturbed points (each coordinate of the
+    features and of each prompt's tokens, moved by each stencil offset) then go
+    through the loss tail in batches of FD_CHUNK, grouped by the array they move:
+    a feature point runs the head at its own scale and reuses the base maps of the
+    other two, and a token point runs the three heads on its token stack.
     """
     base = forward(features, tokens, masks, positives, cfg, token_valid)
-    arrays = base.fvals + [base.tok_stack]
-    x0 = np.concatenate([a.ravel() for a in arrays])
-    splits = np.cumsum([a.size for a in arrays])[:-1]
-    # every coordinate but the token stack's pad rows: the features, then each prompt's tokens
-    tok_index = splits[-1] + np.arange(base.tok_stack.size).reshape(base.tok_stack.shape)
-    coords = np.concatenate([np.arange(splits[-1])]
-                            + [tok_index[p, :n].ravel() for p, n in enumerate(base.lengths)])
     h, pairs = FD_STENCIL["step"], FD_STENCIL["pairs"]
     offsets = np.array([sign * o * h for o, _ in pairs for sign in (1, -1)])  # x + o h, then x - o h, per pair
-
-    point_coords, point_offsets = np.repeat(coords, offsets.size), np.tile(offsets, coords.size)
-    values = np.empty(point_coords.size)
-    for start in range(0, values.size, FD_CHUNK):
-        stop = min(start + FD_CHUNK, values.size)
-        x = np.tile(x0, (stop - start, 1))
-        x[np.arange(stop - start), point_coords[start:stop]] += point_offsets[start:stop]
-        batch = [part.reshape((-1,) + a.shape) for part, a in zip(np.split(x, splits, axis=1), arrays)]
-        values[start:stop] = _stages(batch[:3], batch[3], base.valid_stack, base.lengths, base.gaco.masks,
-                                     base.positives, cfg, frozen_adv=base.gaco.adv).total
-
-    f = values.reshape(coords.size, len(pairs), 2)
-    grad = np.zeros_like(x0)
-    grad[coords] = sum(w * (f[:, j, 0] - f[:, j, 1]) for j, (_, w) in enumerate(pairs))
-    grad /= FD_STENCIL["divisor"] * h
-    grads = [g.reshape(a.shape) for g, a in zip(np.split(grad, splits), arrays)]
+    arrays = base.fvals + [base.tok_stack]
+    grads = []
+    for s, a in enumerate(arrays):
+        coords = np.arange(a.size)
+        if s == 3:  # each prompt's own tokens, not the stack's pad rows
+            coords = np.concatenate([coords.reshape(a.shape)[p, :n].ravel() for p, n in enumerate(base.lengths)])
+        point_coords, point_offsets = np.repeat(coords, offsets.size), np.tile(offsets, coords.size)
+        values = np.empty(point_coords.size)
+        for start in range(0, values.size, FD_CHUNK):
+            stop = min(start + FD_CHUNK, values.size)
+            x = np.tile(a.ravel(), (stop - start, 1))
+            x[np.arange(stop - start), point_coords[start:stop]] += point_offsets[start:stop]
+            x = x.reshape((-1,) + a.shape)
+            if s < 3:
+                eams = [np.broadcast_to(e, x.shape[:1] + e.shape) for e in base.eams]
+                eams[s] = _head(x, base.tok_stack, base.valid_stack, cfg.tau_t)[3]
+            else:
+                eams = [_head(fv, x, base.valid_stack, cfg.tau_t)[3] for fv in base.fvals]
+            values[start:stop] = _losses(eams, base.gaco.masks, base.positives, cfg, base.gaco.adv)["total"]
+        f = values.reshape(coords.size, len(pairs), 2)
+        grad = np.zeros(a.size)
+        grad[coords] = sum(w * (f[:, j, 0] - f[:, j, 1]) for j, (_, w) in enumerate(pairs))
+        grads.append((grad / (FD_STENCIL["divisor"] * h)).reshape(a.shape))
     return GradientBundle(
         d_features=grads[:3], d_tokens=[grads[3][p, :n] for p, n in enumerate(base.lengths)],
         l_sem=base.l_sem, l_geo=base.gaco.loss, total=base.total,

@@ -54,11 +54,15 @@ class GibbsProblem:
 
 
 def _check_simplex(q):
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if q.min() < -SIMPLEX_TOL or abs(q.sum() - 1.0) > SIMPLEX_TOL:
-        raise DomainError(
-            f"mass vector off the simplex: min={q.min():.3e}, sum={q.sum()!r}"
-        )
+    """q, one point (n,) or a stack (K, n), with negative rounding clipped to 0
+    once every row is checked to lie on the simplex."""
+    low, total = q.min(axis=-1), q.sum(axis=-1)
+    off = (low < -SIMPLEX_TOL) | (abs(total - 1.0) > SIMPLEX_TOL)
+    if off.any():
+        i = int(np.argmax(off))  # the first row off the simplex; 0 for a point
+        which = "mass vector" if q.ndim == 1 else f"row {i} of the mass stack"
+        raise DomainError(f"{which} off the simplex: min={low.reshape(-1)[i]:.3e}, "
+                          f"sum={float(total.reshape(-1)[i])!r}")
     return np.maximum(q, 0.0)
 
 
@@ -70,26 +74,41 @@ def kl_divergence(q, r):
     return float(np.sum(q[pos] * (np.log(q[pos]) - np.log(np.maximum(r[pos], LOG_FLOOR)))))
 
 
+def _free_energies(q, e_eff, tau, log_u):
+    """<q, e_eff> + tau * KL(q || uniform) of a point (n,) or of each row of a stack
+    (K, n), with the 0 * log 0 = 0 convention; log_u is log(1/n)."""
+    pos = q > 0
+    return q @ e_eff + tau * (q * (np.log(np.where(pos, q, 1.0)) - log_u)).sum(axis=-1, where=pos)
+
+
 def free_energy(q, prob, validate=True):
     """F[q] = <q, E - lam*A> + tau * KL(q || uniform).
 
-    With validate=False the same expression is evaluated for any positive
-    vector, which is what the finite-difference gradient comparison needs.
+    An array of prob.size entries, of any shape, is one point and gives a float; a
+    (K, prob.size) stack gives the K values of its rows, each row checked on the
+    simplex. With validate=False the same expression is evaluated for any positive
+    point or stack, which is what the finite-difference gradient comparison needs.
     """
-    qf = np.asarray(q, dtype=np.float64).ravel()
-    if qf.shape[0] != prob.size:
-        raise DimensionError(f"mass vector has {qf.shape[0]} entries, problem has {prob.size}")
+    qf = np.asarray(q, dtype=np.float64)
+    if qf.size == prob.size:
+        qf = qf.ravel()
+    elif qf.ndim != 2 or qf.shape[1] != prob.size or qf.shape[0] == 0:
+        raise DimensionError(f"mass must be {prob.size} entries or a (K, {prob.size}) stack, "
+                             f"got shape {qf.shape}")
     if validate:
         qf = _check_simplex(qf)
-    u = np.full(prob.size, 1.0 / prob.size)
-    return float(qf @ prob.effective_energy() + prob.tau * kl_divergence(qf, u))
+    values = _free_energies(qf, prob.effective_energy(), prob.tau, np.log(1.0 / prob.size))
+    return float(values) if qf.ndim == 1 else values
+
+
+def _free_energy_gradient(q, e_eff, tau, u):
+    return e_eff + tau * (np.log(np.maximum(q, LOG_FLOOR) / u) + 1.0)
 
 
 def free_energy_gradient(q, prob):
     """Gradient of the unconstrained free-energy expression at positive q."""
     qf = np.asarray(q, dtype=np.float64).ravel()
-    u = 1.0 / prob.size
-    return prob.effective_energy() + prob.tau * (np.log(np.maximum(qf, LOG_FLOOR) / u) + 1.0)
+    return _free_energy_gradient(qf, prob.effective_energy(), prob.tau, 1.0 / prob.size)
 
 
 def gibbs_closed_form(prob):
@@ -118,29 +137,30 @@ def minimize_free_energy_numeric(prob, max_iters=500, tol=1e-12):
     max_iters is reported through the result record, not raised.
     """
     n = prob.size
-    q = np.full(n, 1.0 / n)
+    e_eff, u, log_u = prob.effective_energy(), 1.0 / n, np.log(1.0 / n)  # per-solve constants
+    q = np.full(n, u)
     eta = 0.5 / prob.tau
-    f_cur = free_energy(q, prob)
+    f_cur = _free_energies(_check_simplex(q), e_eff, prob.tau, log_u)
     residual = np.inf
     for it in range(1, max_iters + 1):
-        grad = free_energy_gradient(q, prob)
+        grad = _free_energy_gradient(q, e_eff, prob.tau, u)
         grad = grad - grad.max()  # additive shifts cancel in the normalization
         q_new = q * np.exp(-eta * grad)
         q_new /= q_new.sum()
-        f_new = free_energy(q_new, prob)
+        f_new = _free_energies(_check_simplex(q_new), e_eff, prob.tau, log_u)
         if f_new > f_cur + 1e-15:
             eta *= 0.5
             continue
-        residual = float(np.max(np.abs(q_new - q)))
+        residual = float(abs(q_new - q).max())
         q, f_cur = q_new, f_new
         if residual <= tol:
             return MirrorDescentResult(
                 q=q.reshape(prob.energy.shape), converged=True, iterations=it,
-                residual=residual, free_energy=f_cur,
+                residual=residual, free_energy=float(f_cur),
             )
     return MirrorDescentResult(
         q=q.reshape(prob.energy.shape), converged=False, iterations=max_iters,
-        residual=float(residual), free_energy=f_cur,
+        residual=float(residual), free_energy=float(f_cur),
     )
 
 

@@ -38,6 +38,10 @@ from .gradients import (
 )
 
 GRADCHECK_MARGIN = 1e-2
+# seeds find_gradcheck_cases draws for one case before it gives up; at most 6 in a
+# row were rejected from 120 random base seeds at the default config and from 24 at
+# each grad_config_sweep config
+GRADCHECK_DRAWS = 1000
 
 # hand-derived worked values (frozen; see module examples in the tests)
 SEM_TWO_PROMPT_VALUE = 0.3132616875182228     # log(1 + e^-1)
@@ -374,8 +378,7 @@ def _gibbs_opt(rng):
         prob = _random_problem(rng, n=12)
         f_star = variational.free_energy(variational.gibbs_closed_form(prob), prob)
         qs = variational.random_simplex(rng, prob.size, count=200)
-        for q in qs:
-            worst = _worst(worst, f_star - variational.free_energy(q, prob))
+        worst = _worst(worst, f_star - float(variational.free_energy(qs, prob).min()))
     return _worst(0.0, worst), "closed form never beaten by random simplex points"
 
 
@@ -498,7 +501,7 @@ def _grad_fe(rng):
 
 
 def sample_gradcheck_case(seed, cfg=ObjectiveConfig()):
-    """One random objective input under cfg, or None if it violates the margins."""
+    """One random objective input under cfg, or None unless every margin is at least GRADCHECK_MARGIN."""
     rng = np.random.default_rng(seed)
     c, h3 = 3, 8
     features = [rng.normal(size=(c, h3 // f, h3 // f)) for f in (1, 2, 4)]
@@ -510,21 +513,25 @@ def sample_gradcheck_case(seed, cfg=ObjectiveConfig()):
         masks[p, top:top + 3, left:left + 3] = True
     positives = [0] if rng.random() < 0.5 else [0, 1]
     tr = forward(features, tokens, masks, positives, cfg, valid)
-    margins = nondegeneracy_margins(tr)
-    if min(margins.values()) < GRADCHECK_MARGIN:
+    # not min(...) < GRADCHECK_MARGIN: that lets a NaN margin through
+    if not all(m >= GRADCHECK_MARGIN for m in nondegeneracy_margins(tr).values()):
         return None
     return {"features": features, "tokens": tokens, "valid": valid,
             "masks": masks, "positives": positives, "cfg": cfg}
 
 
 def find_gradcheck_cases(count, base_seed=1000, cfg=ObjectiveConfig()):
-    """Deterministically scan seeds until `count` non-degenerate cases under cfg are found."""
-    cases, seed = [], base_seed
+    """Deterministically scan seeds until `count` non-degenerate cases under cfg are
+    found; DomainError once GRADCHECK_DRAWS seeds in a row are rejected."""
+    cases, seed, first = [], base_seed, base_seed  # first: the first seed drawn for the next case
     while len(cases) < count:
+        if seed - first == GRADCHECK_DRAWS:
+            raise DomainError(f"no gradcheck case clears the margins in seeds {first} to {seed - 1}")
         case = sample_gradcheck_case(seed, cfg)
+        seed += 1
         if case is not None:
             cases.append(case)
-        seed += 1
+            first = seed
     return cases
 
 
@@ -657,6 +664,10 @@ FAULTS = {
     "grad-dsbar-no-tau": ("grad", ((gradients.backward, "pi / cfg.tau_t * (", "pi * ("),)),
     "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
                                      "flat[p, sel[0]] = d_logit[p]"),)),
+    "fd-moved-scale-base-head": ("grad", ((objective_fd_gradients,
+                                           "eams[s] = _head(x, base.tok_stack, base.valid_stack, cfg.tau_t)[3]",
+                                           "pass"),)),
+    "gibbs-kl-no-log-n": ("gibbs", ((variational._free_energies, " - log_u)", ")"),)),
 }
 
 

@@ -199,8 +199,9 @@ class TestVerifyCommand:
         assert failed == {"gaco_worked_example", "gaco_gradient_sign"}
 
     def test_nan_and_raising_checks_reported(self, tmp_path):
-        # the fault makes a posterior with a pad token NaN, and grad_config_sweep raise on
-        # the NaN features it derives; the JSON could not hold the NaN, so nothing was reported
+        # the fault makes a posterior with a pad token NaN, so no gradcheck draw clears the
+        # margins and grad_config_sweep raises once its search gives up; the JSON could not
+        # hold the NaN residual, so nothing was reported
         def reject(constant):
             raise AssertionError(f"{constant} in the verify report")
 
@@ -212,7 +213,8 @@ class TestVerifyCommand:
         assert len(checks) == len(verify._CHECKS)
         sweep = checks["grad_config_sweep"]
         assert not sweep["passed"] and sweep["residual"] is None
-        assert sweep["detail"] == "raised DomainError: feature values must be finite"
+        assert sweep["detail"] == ("raised DomainError: no gradcheck case clears the margins"
+                                   " in seeds 930356863 to 930357862")
         assert checks["eah_temperature_limits"]["residual"] is None
         table = run_cli(fault, cwd=tmp_path)
         assert table.returncode == 1, table.stderr

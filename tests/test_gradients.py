@@ -206,6 +206,30 @@ def loop_fd_gradients(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     return grads
 
 
+def all_arrays_fd_gradients(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_valid=None):
+    """Reference for objective_fd_gradients' grouping: every perturbed point copies every
+    array and runs all three heads, in one batch; returns the features' and the token
+    stack's gradients."""
+    base = forward(features, tokens, masks, positives, cfg, token_valid)
+    arrays = base.fvals + [base.tok_stack]
+    x0 = np.concatenate([a.ravel() for a in arrays])
+    splits = np.cumsum([a.size for a in arrays])[:-1]
+    tok_index = splits[-1] + np.arange(base.tok_stack.size).reshape(base.tok_stack.shape)
+    coords = np.concatenate([np.arange(splits[-1])] + [tok_index[p, :n].ravel() for p, n in enumerate(base.lengths)])
+    h, pairs = FD_STENCIL["step"], FD_STENCIL["pairs"]
+    offsets = np.array([sign * o * h for o, _ in pairs for sign in (1, -1)])
+    x = np.tile(x0, (coords.size * offsets.size, 1))
+    x[np.arange(len(x)), np.repeat(coords, offsets.size)] += np.tile(offsets, coords.size)
+    *fvs, toks = [part.reshape((-1,) + a.shape) for part, a in zip(np.split(x, splits, axis=1), arrays)]
+    eams = [gradients._head(fv, toks, base.valid_stack, cfg.tau_t)[3] for fv in fvs]
+    f = gradients._losses(eams, base.gaco.masks, base.positives, cfg, base.gaco.adv)["total"]
+    f = f.reshape(coords.size, len(pairs), 2)
+    grad = np.zeros_like(x0)
+    grad[coords] = sum(w * (f[:, j, 0] - f[:, j, 1]) for j, (_, w) in enumerate(pairs))
+    grad /= FD_STENCIL["divisor"] * h
+    return [g.reshape(a.shape) for g, a in zip(np.split(grad, splits), arrays)]
+
+
 def ragged_problem():
     rng = np.random.default_rng(7)
     features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
@@ -237,6 +261,18 @@ class TestBatchedOracle:
             assert np.abs(got - want).max() <= 1e-10
         for p, v in enumerate(case["valid"] or []):
             assert not batched.d_tokens[p][~v].any() and not looped[3 + p][~v].any()  # pad tokens: exactly 0
+
+    @pytest.mark.parametrize("index", range(4), ids=["criterion-4-a", "criterion-4-b", "ragged", "unnormalized"])
+    def test_grouping_leaves_the_bytes(self, index):
+        # a feature point runs the head at its scale only, a token point the three heads on
+        # unbatched features: the same arithmetic per point as copying every array
+        case = oracle_cases()[index]
+        args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+        grouped = objective_fd_gradients(*args)
+        *features, tok_stack = all_arrays_fd_gradients(*args)
+        want = features + [tok_stack[p, :len(t)] for p, t in enumerate(case["tokens"])]
+        for got, ref in zip(grouped.d_features + grouped.d_tokens, want, strict=True):
+            assert got.tobytes() == ref.tobytes()
 
     def test_chunk_size_leaves_the_bytes(self, monkeypatch):
         case = find_gradcheck_cases(1, base_seed=4000)[0]

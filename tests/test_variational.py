@@ -57,6 +57,38 @@ class TestFreeEnergy:
         assert abs(value - (0.0 + 1.0 * math.log(3.0))) <= 1e-12
 
 
+class TestFreeEnergyStack:
+    def test_rows_match_single_points(self):
+        # a stack's energy term is a matrix-vector product where one point's is a dot
+        # product, so a row may differ from its single call in the last few bits
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            prob = random_problem(rng)
+            qs = random_simplex(rng, prob.size, count=50)
+            values = free_energy(qs, prob)
+            assert values.shape == (50,)
+            np.testing.assert_allclose(values, [free_energy(q, prob) for q in qs], rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5, 0.1], [1.2, -0.2, 0.0]])
+    def test_one_row_off_simplex_rejected(self, row):
+        qs = np.full((4, 3), 1 / 3)
+        qs[2] = row
+        with pytest.raises(DomainError, match="row 2 of the mass stack"):
+            free_energy(qs, GibbsProblem(energy=np.zeros(3)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 2), (1, 4), (2, 2, 3), (0, 3)])
+    def test_row_length_checked(self, shape):
+        # a wrong-length vector never passes as a stack, nor a stack as one point
+        with pytest.raises(DimensionError):
+            free_energy(np.full(shape, 1 / shape[-1]), GibbsProblem(energy=np.zeros(3)))
+
+    def test_zero_entries_use_zero_log_zero(self):
+        prob = GibbsProblem(energy=np.arange(3.0))
+        values = free_energy(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), prob)
+        # <q, E> + KL(q || uniform): 0 + log 3, and 1.5 + log 1.5
+        np.testing.assert_allclose(values, [math.log(3.0), 1.5 + math.log(1.5)], rtol=0, atol=1e-15)
+
+
 class TestClosedForm:
     def test_flat_energy_gives_uniform(self):
         prob = GibbsProblem(energy=np.full(7, 2.5), tau=0.3)

@@ -121,6 +121,30 @@ def test_gaco_sign_reaches_by_name_imports(monkeypatch):
     assert verify.run_suite(fault="gaco-sign")[0].residual == -clean
 
 
+def test_nan_margins_reject_the_draw(monkeypatch):
+    # with eah-shift-by-min planted, seed 1000's top-k and normalizer margins are NaN;
+    # min(margins.values()) < GRADCHECK_MARGIN accepted that draw
+    accepted = lambda rng: (float(verify.sample_gradcheck_case(1000) is not None), "")
+    monkeypatch.setattr(verify, "_CHECKS", [("accepted", "eah", 0.0, accepted)])
+    assert faulted_run("eah-shift-by-min")[0].residual == 0.0
+
+
+def test_case_search_is_bounded_per_case(monkeypatch):
+    # rejecting every draw, as under eah-shift-by-min, the search looped forever
+    draws = []
+
+    def sample(seed, cfg):  # accepts seeds 999 and 1999 only: the last draw each case may take
+        draws.append(seed)
+        return {"seed": seed} if seed in (999, 1999) else None
+
+    monkeypatch.setattr(verify, "sample_gradcheck_case", sample)
+    assert verify.find_gradcheck_cases(2, base_seed=0) == [{"seed": 999}, {"seed": 1999}]
+    draws.clear()
+    with pytest.raises(DomainError, match="no gradcheck case clears the margins in seeds 2000 to 2999$"):
+        verify.find_gradcheck_cases(1, base_seed=2000)
+    assert draws == list(range(2000, 3000))
+
+
 def test_import_reads_no_source(tmp_path):
     # perfbench's setup_s times this import: sources are read only when a fault is planted
     probe = ("import inspect\n"
