@@ -17,6 +17,13 @@ optional leading batch axis: forward runs them on one image, and the
 finite-difference oracle runs them on chunks of perturbed copies of one
 image's features or tokens, under the advantage frozen at its base point.
 
+Pre-fused features: the fusion is linear, so with w = [w3|w4|w5] (P, 3C) the
+fused maps are dw = w.DF and up = w.UF, where DF and UF (3C, cells) fuse each
+scale's channel planes on their own, and the token gradient needs only
+G = g_dw.DF^T + g_up.UF^T. The training demo's features are fixed, so it fuses
+them once (fix_features) and steps with fixed_features_objective; its maps
+agree with forward's to rounding, not bit for bit.
+
 Stop-gradient conventions, fixed here and honored by the finite-difference
 oracle: the advantage tensor is a constant under differentiation, top-k index
 sets and the clip's saturated branches are locally constant, pad tokens carry
@@ -64,20 +71,16 @@ class ObjectiveConfig:
 
 
 def coerce_inputs(features, tokens, token_valid=None):
-    """Validate raw arrays and return padded stacks.
+    """Validate raw arrays and return (fvals, tok_stack, valid_stack, lengths):
+    coerce_features' arrays, then coerce_tokens' padded stacks."""
+    fvals = coerce_features(features)
+    return (fvals,) + coerce_tokens(tokens, token_valid, fvals[0].shape[0])
 
-    features are three (C, Hs, Ws) arrays, tokens one (L, C) array per prompt,
-    token_valid an optional (L,) boolean mask per prompt (None = all valid).
-    Returns (fvals, tok_stack, valid_stack, lengths): three (C, Hs, Ws) arrays
-    for scales 3/4/5, a (P, Lmax, C) embedding stack, a (P, Lmax) validity
-    stack (False rows mark padding), and the original per-prompt token counts.
-    """
+
+def coerce_features(features):
+    """Three (C, Hs, Ws) feature arrays of scales 3/4/5, checked, as float64 arrays."""
     if len(features) != 3:
         raise DimensionError(f"expected 3 feature maps (scales 3, 4, 5), got {len(features)}")
-    if len(tokens) == 0:
-        raise DimensionError("expected token embeddings for at least 1 prompt, got 0")
-    if token_valid is not None and len(token_valid) != len(tokens):
-        raise DimensionError(f"token_valid has {len(token_valid)} entries for {len(tokens)} prompts")
     fvals = [np.asarray(f, dtype=np.float64) for f in features]
     if not all(np.isfinite(fv).all() for fv in fvals):
         raise DomainError("feature values must be finite")
@@ -86,32 +89,57 @@ def coerce_inputs(features, tokens, token_valid=None):
             raise DimensionError(f"feature map of scale {s + 3} must be (C, Hs, Ws), got rank {fv.ndim}")
         if fv.shape[0] != fvals[0].shape[0]:
             raise DimensionError("feature maps must share the channel axis")
-    c = fvals[0].shape[0]
+    fusion.check_pyramid(fvals[0][0], fvals[1][0], fvals[2][0])
+    return fvals
+
+
+def coerce_tokens(tokens, token_valid, channels):
+    """One (L, C) token array per prompt and an optional (L,) boolean mask per prompt
+    (None = all valid), checked; returns a (P, Lmax, C) embedding stack, a (P, Lmax)
+    validity stack (False rows mark padding), and the per-prompt token counts."""
+    if len(tokens) == 0:
+        raise DimensionError("expected token embeddings for at least 1 prompt, got 0")
+    if token_valid is not None and len(token_valid) != len(tokens):
+        raise DimensionError(f"token_valid has {len(token_valid)} entries for {len(tokens)} prompts")
     tvals, valids = [], []
     for p, t in enumerate(tokens):
         tv = np.asarray(t, dtype=np.float64)
-        if tv.ndim != 2 or tv.shape[1] != c:
+        if tv.ndim != 2 or tv.shape[1] != channels:
             raise DimensionError("token embeddings must be (L, C) with matching channels")
         v = None if token_valid is None else token_valid[p]
         va = np.ones(tv.shape[0], dtype=bool) if v is None else np.asarray(v, dtype=bool)
         if va.shape != (tv.shape[0],):
             raise DimensionError("validity mask length must match the token count")
-        if not va.any():
-            raise DomainError("every prompt needs at least one valid token")
         tvals.append(tv)
         valids.append(va)
-    fusion.check_pyramid(fvals[0][0], fvals[1][0], fvals[2][0])
 
     lengths = [tv.shape[0] for tv in tvals]
-    lmax = max(lengths)
-    tok_stack = np.zeros((len(tvals), lmax, c))
-    valid_stack = np.zeros((len(tvals), lmax), dtype=bool)
+    tok_stack = np.zeros((len(tvals), max(lengths), channels))
+    valid_stack = np.zeros(tok_stack.shape[:2], dtype=bool)
     for p, (tv, va) in enumerate(zip(tvals, valids)):
         tok_stack[p, :tv.shape[0]] = tv
         valid_stack[p, :tv.shape[0]] = va
+    _check_stack(tok_stack, valid_stack, channels)
+    return tok_stack, valid_stack, lengths
+
+
+def _check_stack(tok_stack, valid_stack, channels):
+    """A finite (P, Lmax, C) token stack and its (P, Lmax) validity stack, one valid token per prompt at least."""
+    if tok_stack.ndim != 3 or tok_stack.shape[2] != channels or valid_stack.shape != tok_stack.shape[:2]:
+        raise DimensionError(f"token stack {tok_stack.shape} needs C = {channels} and a validity stack "
+                             f"of its (P, Lmax), got {valid_stack.shape}")
+    if not valid_stack.any(axis=1).all():
+        raise DomainError("every prompt needs at least one valid token")
     if not np.isfinite(tok_stack).all():
         raise DomainError("token embeddings must be finite")
-    return fvals, tok_stack, valid_stack, lengths
+
+
+def _targets(masks, positives, shape):
+    """The boolean (P, H3, W3) masks, checked against shape, and the sorted distinct positives."""
+    masks = np.asarray(masks, dtype=bool)
+    if masks.shape != shape:
+        raise DimensionError(f"masks must be {shape}, got {masks.shape}")
+    return masks, tuple(sorted(set(int(p) for p in positives)))
 
 
 def _masked_posteriors(sbar, valid, tau_t):
@@ -122,15 +150,20 @@ def _masked_posteriors(sbar, valid, tau_t):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _head(fv, tok_stack, valid_stack, tau_t):
-    """Rank-C head of every prompt at one scale: sbar = T.fbar and the posterior
-    pi (..., P, L), the posterior-weighted token w = pi^T T (..., P, C), and
-    eam = w.F (..., P, Hs, Ws); fv is (..., C, Hs, Ws) and tok_stack (..., P, L, C)."""
-    flat = fv.reshape(fv.shape[:-2] + (-1,))                           # (..., C, Hs*Ws)
-    fbar = flat.sum(axis=-1) / flat.shape[-1]                          # as np.mean but cheaper per call
+def _token_side(fbar, tok_stack, valid_stack, tau_t):
+    """The head's token side at one scale, from the (..., C) channel mean fbar: sbar = T.fbar,
+    the posterior pi (..., P, L) and the posterior-weighted token w = pi^T T (..., P, C)."""
     sbar = (tok_stack @ fbar[..., None, :, None])[..., 0]
     pi = _masked_posteriors(sbar, valid_stack, tau_t)
-    w = (pi[..., None, :] @ tok_stack)[..., 0, :]
+    return sbar, pi, (pi[..., None, :] @ tok_stack)[..., 0, :]
+
+
+def _head(fv, tok_stack, valid_stack, tau_t):
+    """Rank-C head of every prompt at one scale: _token_side's sbar, pi and w, and
+    eam = w.F (..., P, Hs, Ws); fv is (..., C, Hs, Ws)."""
+    flat = fv.reshape(fv.shape[:-2] + (-1,))                           # (..., C, Hs*Ws)
+    fbar = flat.sum(axis=-1) / flat.shape[-1]                          # as np.mean but cheaper per call
+    sbar, pi, w = _token_side(fbar, tok_stack, valid_stack, tau_t)
     return sbar, pi, w, (w @ flat).reshape(w.shape[:-1] + fv.shape[-2:])
 
 
@@ -161,12 +194,7 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
             token_valid=None, frozen_adv=None):
     """Full forward pass; frozen_adv substitutes the advantage tensor."""
     fvals, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
-    n_prompts = tok_stack.shape[0]
-    masks = np.asarray(masks, dtype=bool)
-    h3, w3 = fvals[0].shape[1], fvals[0].shape[2]
-    if masks.shape != (n_prompts, h3, w3):
-        raise DimensionError(f"masks must be ({n_prompts}, {h3}, {w3}), got {masks.shape}")
-    pos = tuple(sorted(set(int(p) for p in positives)))
+    masks, pos = _targets(masks, positives, tok_stack.shape[:1] + fvals[0].shape[1:])
     sbars, pis, ws, eams = zip(*(_head(fv, tok_stack, valid_stack, cfg.tau_t) for fv in fvals))
     return Trace(fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
                  sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), positives=pos, cfg=cfg,
@@ -174,14 +202,18 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
 
 
 def _losses(eams, masks, pos, cfg, frozen_adv=None):
-    """The forward after the heads, as the Trace fields it fills: the fusion, top-k
-    pooling with InfoNCE and the geometry loss. eams are the three scales' maps of one
-    image or, with frozen_adv, stacks of them on a common leading batch axis. One image
-    makes one call per prompt to semantic.topk_select and per region to
-    gaco.region_stats, which the benchmark's tracer counts."""
-    dw = fusion.fuse_down(eams[0], eams[1], eams[2])
-    up = fusion.fuse_up(eams[0], eams[1], eams[2])
+    """The forward after the heads, as the Trace fields it fills: the fusion of the
+    three scales' maps, then _loss_tail. eams are one image's maps or, with
+    frozen_adv, stacks of them on a common leading batch axis."""
+    return _loss_tail(fusion.fuse_down(eams[0], eams[1], eams[2]), fusion.fuse_up(eams[0], eams[1], eams[2]),
+                      masks, pos, cfg, frozen_adv)
 
+
+def _loss_tail(dw, up, masks, pos, cfg, frozen_adv=None):
+    """The losses on the coarse and fine fused maps, as Trace fields: top-k pooling
+    with InfoNCE on dw and the geometry loss on up. One image makes one call per
+    prompt to semantic.topk_select and per region to gaco.region_stats, which the
+    benchmark's tracer counts."""
     h3, w3 = masks.shape[1:]
     k = semantic.topk_budget(h3, w3, dw.shape[-2] * dw.shape[-1], cfg.topk_ratio)
     logits, selections = semantic.pooled_logits(dw, k)
@@ -211,13 +243,7 @@ def backward(tr):
     """Reverse pass over a Trace, under its forward's config; gradients w.r.t. features and tokens."""
     cfg = tr.cfg
     n_prompts = tr.tok_stack.shape[0]
-    # each loss term's own backward gives its fused map's gradient; a zero weight skips the term
-    g_dw = (semantic.pooled_infonce_backward(tr.logits, tr.selections, tr.positives, tr.dw.shape,
-                                             cfg.tau, cfg.lambda_sem)
-            if cfg.lambda_sem != 0.0 else np.zeros_like(tr.dw))
-    g_up = (gaco_backward(tr.gaco, cfg.lambda_geo)
-            if cfg.lambda_geo != 0.0 else np.zeros_like(tr.gaco.up_map))
-
+    g_dw, g_up = _map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, cfg)
     gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
     gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
     g_eams = [gd3 + gu3, gd4 + gu4, gd5 + gu5]
@@ -227,17 +253,14 @@ def backward(tr):
     for s, fv in enumerate(tr.fvals):
         flat = fv.reshape(fv.shape[0], -1)                          # (C, n)
         n = flat.shape[1]
-        pi, w, g = tr.pis[s], tr.ws[s], g_eams[s].reshape(n_prompts, -1)
-        # direct path through eam = w.F, plus the posterior path through
-        # sbar = T.fbar; pad tokens have pi = d_sbar = 0 in both
-        big_g = g @ flat.T                                          # (P, C): sum_xy g.F
-        d_pi = (tr.tok_stack @ big_g[:, :, None])[:, :, 0]
-        d_sbar = pi / cfg.tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
+        g = g_eams[s].reshape(n_prompts, -1)
+        # big_g = sum_xy g.F (P, C) is the gradient at w, through eam = w.F
+        d_sbar, d_tok = _token_chain(tr.tok_stack, tr.pis[s], flat.sum(axis=1) / n, g @ flat.T, cfg.tau_t)
         d_fbar = np.einsum("pl,plc->c", d_sbar, tr.tok_stack)
-        d_flat = w.T @ g                                            # (C, n)
+        d_flat = tr.ws[s].T @ g                                     # (C, n)
         d_flat += d_fbar[:, None] / n                               # in place: no second (C, n) temporary
         d_features.append(d_flat.reshape(fv.shape))
-        d_tok_stack += pi[:, :, None] * big_g[:, None, :] + d_sbar[:, :, None] * (flat.sum(axis=1) / n)
+        d_tok_stack += d_tok
 
     d_tokens = [d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)]
     return GradientBundle(
@@ -246,11 +269,90 @@ def backward(tr):
     )
 
 
+def _map_gradients(logits, selections, positives, dw_shape, gaco_result, cfg):
+    """Gradients (g_dw, g_up) at the coarse and fine fused maps: each loss term's own
+    backward, or zeros when its weight is zero."""
+    g_dw = (semantic.pooled_infonce_backward(logits, selections, positives, dw_shape, cfg.tau, cfg.lambda_sem)
+            if cfg.lambda_sem != 0.0 else np.zeros(dw_shape))
+    g_up = (gaco_backward(gaco_result, cfg.lambda_geo)
+            if cfg.lambda_geo != 0.0 else np.zeros_like(gaco_result.up_map))
+    return g_dw, g_up
+
+
+def _token_chain(tok_stack, pi, fbar, big_g, tau_t):
+    """One scale's token gradient from big_g (P, C), the gradient at w = pi^T T: the
+    direct path through w and the posterior path through sbar = T.fbar. Returns
+    (d_sbar, d_tok); pad tokens have pi = d_sbar = 0, so their rows are 0."""
+    d_pi = (tok_stack @ big_g[:, :, None])[:, :, 0]
+    d_sbar = pi / tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
+    return d_sbar, pi[:, :, None] * big_g[:, None, :] + d_sbar[:, :, None] * fbar
+
+
 def objective_with_gradients(features, tokens, masks, positives,
                              cfg=ObjectiveConfig(), token_valid=None):
     """Forward and reverse pass in one call."""
     tr = forward(features, tokens, masks, positives, cfg, token_valid)
     return backward(tr)
+
+
+@dataclass(frozen=True)
+class FixedFeatures:
+    """One image's features, fixed for a run of token updates: each scale's channel
+    means, and the fused maps of each scale's channel planes on their own."""
+
+    fbars: np.ndarray  # (3, C)
+    down: np.ndarray   # (3C, H5*W5): fuse_down of one scale's planes, zeros at the other two
+    up: np.ndarray     # (3C, H3*W3): fuse_up of the same
+    grids: tuple       # ((H5, W5), (H3, W3))
+
+
+def fix_features(features):
+    """The FixedFeatures of three (C, Hs, Ws) feature maps, checked as coerce_inputs checks them."""
+    fvals = coerce_features(features)
+    c = fvals[0].shape[0]
+    # each scale's block is written in place, so at peak memory holds one (3C, H3*W3) copy of up
+    down, up = np.empty((3 * c, fvals[2][0].size)), np.empty((3 * c, fvals[0][0].size))
+    for s in range(3):
+        alone = [fv if r == s else np.zeros_like(fv) for r, fv in enumerate(fvals)]
+        down[s * c:(s + 1) * c] = fusion.fuse_down(*alone).reshape(c, -1)
+        up[s * c:(s + 1) * c] = fusion.fuse_up(*alone).reshape(c, -1)
+    return FixedFeatures(fbars=np.stack([fv.reshape(c, -1).sum(axis=-1) / fv[0].size for fv in fvals]),
+                         down=down, up=up, grids=(fvals[2].shape[1:], fvals[0].shape[1:]))
+
+
+@dataclass(frozen=True)
+class TokenStep:
+    """The fused maps, the losses, and the (P, Lmax, C) token-stack gradient, 0 on pad rows."""
+
+    dw: np.ndarray
+    up: np.ndarray
+    l_sem: float
+    l_geo: float
+    total: float
+    d_tok_stack: np.ndarray
+
+
+def fixed_features_objective(fixed, tok_stack, valid_stack, masks, positives, cfg=ObjectiveConfig()):
+    """The objective and its TokenStep at the FixedFeatures `fixed`, for a padded token
+    stack and its validity stack as coerce_tokens gives them: dw = w.down, up = w.up
+    and G = g_dw.down^T + g_up.up^T (module docstring), with forward's loss tail and
+    backward's map gradients and token chain rule."""
+    tok_stack, valid_stack = np.asarray(tok_stack, dtype=np.float64), np.asarray(valid_stack, dtype=bool)
+    c = fixed.fbars.shape[1]
+    _check_stack(tok_stack, valid_stack, c)
+    n_prompts = tok_stack.shape[0]
+    (h5, w5), (h3, w3) = fixed.grids
+    masks, pos = _targets(masks, positives, (n_prompts, h3, w3))
+    sides = [_token_side(fbar, tok_stack, valid_stack, cfg.tau_t) for fbar in fixed.fbars]
+    w = np.concatenate([side[2] for side in sides], axis=1)
+    out = _loss_tail((w @ fixed.down).reshape(n_prompts, h5, w5), (w @ fixed.up).reshape(n_prompts, h3, w3),
+                     masks, pos, cfg)
+    g_dw, g_up = _map_gradients(out["logits"], out["selections"], pos, out["dw"].shape, out["gaco"], cfg)
+    big_g = g_dw.reshape(n_prompts, -1) @ fixed.down.T + g_up.reshape(n_prompts, -1) @ fixed.up.T
+    d_tok = sum(_token_chain(tok_stack, pi, fixed.fbars[s], big_g[:, s * c:(s + 1) * c], cfg.tau_t)[1]
+                for s, (_, pi, _) in enumerate(sides))
+    return TokenStep(dw=out["dw"], up=out["gaco"].up_map, l_sem=out["l_sem"], l_geo=out["gaco"].loss,
+                     total=out["total"], d_tok_stack=d_tok)
 
 
 def fused_maps(features, tokens, tau_t=1.0, token_valid=None):

@@ -25,7 +25,8 @@ from .eah import FeatureMap, TokenBatch
 from .errors import DimensionError, DomainError
 from .fusion import downsample2x
 from .gaco import GacoConfig
-from .gradients import ObjectiveConfig, fused_maps, objective_with_gradients
+from .gradients import ObjectiveConfig, coerce_tokens, fix_features, fixed_features_objective, fused_maps
+from .gradients import objective_with_gradients  # noqa: F401 -- unused, but perfbench/tracing.py wraps it here
 
 RNG_NAME = "numpy-pcg64"
 
@@ -219,8 +220,9 @@ def demo_train(spec, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR, cfg=None
     """Plain gradient descent on an additive per-prompt token perturbation.
 
     The perturbation starts at zero (identity behavior), receives dL/dT each
-    step, and never touches the frozen base embeddings or features. A
-    non-finite loss stops the run and is reported, not raised.
+    step, and never touches the frozen base embeddings or features. The features
+    are fused once (gradients.fix_features), so a step backpropagates to the
+    tokens only. A non-finite loss stops the run and is reported, not raised.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -228,25 +230,23 @@ def demo_train(spec, steps=BENCHMARK_STEPS, learning_rate=BENCHMARK_LR, cfg=None
         raise DomainError(f"learning_rate must be finite and nonnegative, got {learning_rate}")
     cfg = cfg or benchmark_config()
     scene = generate_scene(spec)
-    fvals = [f.values for f in scene.features]
-    tvals = [t.embeddings for t in scene.tokens]
-    valids = [t.valid for t in scene.tokens]
-    delta = np.zeros((spec.prompts, spec.tokens, spec.channels))
+    fixed = fix_features([f.values for f in scene.features])
+    tokens, valid, _ = coerce_tokens([t.embeddings for t in scene.tokens], [t.valid for t in scene.tokens],
+                                     spec.channels)
+    delta = np.zeros_like(tokens)
 
     acc0 = localization_accuracy(scene, delta, cfg.tau_t)
     losses_sem, losses_geo, losses_total = [], [], []
     diverged = False
     for _ in range(steps):
-        toks = [tvals[p] + delta[p] for p in range(spec.prompts)]
-        bundle = objective_with_gradients(fvals, toks, scene.masks, scene.positives, cfg, valids)
-        losses_sem.append(bundle.l_sem)
-        losses_geo.append(bundle.l_geo)
-        losses_total.append(bundle.total)
-        if not np.isfinite(bundle.total):
+        step = fixed_features_objective(fixed, tokens + delta, valid, scene.masks, scene.positives, cfg)
+        losses_sem.append(step.l_sem)
+        losses_geo.append(step.l_geo)
+        losses_total.append(step.total)
+        if not np.isfinite(step.total):
             diverged = True
             break
-        for p in range(spec.prompts):
-            delta[p] -= learning_rate * bundle.d_tokens[p]
+        delta -= learning_rate * step.d_tok_stack
     acc1 = localization_accuracy(scene, delta, cfg.tau_t)
 
     return DemoReport(

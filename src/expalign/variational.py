@@ -57,9 +57,9 @@ def _check_simplex(q):
     """q, one point (n,) or a stack (K, n), with negative rounding clipped to 0
     once every row is checked to lie on the simplex."""
     low, total = q.min(axis=-1), q.sum(axis=-1)
-    off = (low < -SIMPLEX_TOL) | (abs(total - 1.0) > SIMPLEX_TOL)
-    if off.any():
-        i = int(np.argmax(off))  # the first row off the simplex; 0 for a point
+    on = (low >= -SIMPLEX_TOL) & (abs(total - 1.0) <= SIMPLEX_TOL)  # False for a row with a NaN mass
+    if not on.all():
+        i = int(np.argmin(on))  # the first row off the simplex; 0 for a point
         which = "mass vector" if q.ndim == 1 else f"row {i} of the mass stack"
         raise DomainError(f"{which} off the simplex: min={low.reshape(-1)[i]:.3e}, "
                           f"sum={float(total.reshape(-1)[i])!r}")

@@ -639,6 +639,21 @@ def _eah_map_loop(rng):
         "sum_l pi_l * sim[:, :, l] as a loop"
 
 
+@_register("grad_fixed_features", "grad", 1e-12)
+def _grad_fixed(rng):
+    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
+    tokens, masks = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))], rng.random(size=(2, 8, 8)) < 0.3
+    tr = forward(features, tokens, masks, [0], ObjectiveConfig(), [np.array([True, True, False, True]), None])
+    got = gradients.fixed_features_objective(gradients.fix_features(features), tr.tok_stack, tr.valid_stack,
+                                             masks, [0])
+    pairs = ((got.dw, tr.dw), (got.up, tr.gaco.up_map),
+             (np.array([got.l_sem, got.l_geo, got.total]), np.array([tr.l_sem, tr.gaco.loss, tr.total])),
+             (np.concatenate([got.d_tok_stack[0], got.d_tok_stack[1, :2]]),
+              np.concatenate(gradients.backward(tr).d_tokens)))  # prompt 1's rows 2 and 3 are padding
+    return _worst(*(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)), \
+        "fixed-features maps, losses and token gradients against forward and backward"
+
+
 # ---------------------------------------------------------------- faults
 
 # name -> (group it must fail, edits (function, old, new))
@@ -661,13 +676,17 @@ FAULTS = {
                                  "grad.reshape(point.shape) * (1 + 1e-6)"),)),
     "fd-stencil-weight-1.001": ("grad", ((objective_fd_gradients, 'FD_STENCIL["pairs"]',
                                           "((1, 8.0), (2, -1.001))"),)),
-    "grad-dsbar-no-tau": ("grad", ((gradients.backward, "pi / cfg.tau_t * (", "pi * ("),)),
+    "grad-dsbar-no-tau": ("grad", ((gradients._token_chain, "pi / tau_t * (", "pi * ("),)),
     "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
                                      "flat[p, sel[0]] = d_logit[p]"),)),
     "fd-moved-scale-base-head": ("grad", ((objective_fd_gradients,
                                            "eams[s] = _head(x, base.tok_stack, base.valid_stack, cfg.tau_t)[3]",
                                            "pass"),)),
     "gibbs-kl-no-log-n": ("gibbs", ((variational._free_energies, " - log_u)", ")"),)),
+    "fixed-no-up-term": ("grad", ((gradients.fixed_features_objective,
+                                   " + g_up.reshape(n_prompts, -1) @ fixed.up.T", ""),)),
+    "fixed-scale-3-block": ("grad", ((gradients.fixed_features_objective, "big_g[:, s * c:(s + 1) * c]",
+                                      "big_g[:, :c]"),)),
 }
 
 

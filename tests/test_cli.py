@@ -219,7 +219,7 @@ class TestVerifyCommand:
         table = run_cli(fault, cwd=tmp_path)
         assert table.returncode == 1, table.stderr
         assert "FAIL eah_temperature_limits             residual=nan tol=1.0e-05" in table.stdout
-        assert table.stdout.endswith(f"FAILURES detected ({sum(c['passed'] for c in checks.values())}/41)\n")
+        assert table.stdout.endswith(f"FAILURES detected ({sum(c['passed'] for c in checks.values())}/42)\n")
 
     def test_fault_outside_the_subcommand_groups_rejected(self, tmp_path):
         res = run_cli(["mil", "--inject-fault", "gaco-sign"], cwd=tmp_path)

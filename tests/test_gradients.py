@@ -9,10 +9,13 @@ from expalign.errors import DimensionError, DomainError
 from expalign.gaco import GacoConfig, confidence, gaco_forward
 from expalign.gradients import (
     FD_STENCIL,
+    GradientBundle,
     ObjectiveConfig,
     backward,
     coerce_inputs,
     finite_difference_gradient,
+    fix_features,
+    fixed_features_objective,
     forward,
     fused_maps,
     nondegeneracy_margins,
@@ -429,3 +432,102 @@ class TestFusedMaps:
         dw, up = fused_maps(features, toks, 1.0, valid)
         np.testing.assert_array_equal(dw, tr.dw)
         np.testing.assert_array_equal(up, tr.gaco.up_map)
+
+
+def scene_args(spec, cfg):
+    scene = generate_scene(spec)
+    return ([f.values for f in scene.features], [t.embeddings for t in scene.tokens], scene.masks,
+            scene.positives, cfg, [t.valid for t in scene.tokens])
+
+
+def small_args(seed, cfg):
+    features, toks, valid, masks = small_problem(seed, prompts=3)
+    return features, toks, masks, [0, 1], cfg, valid
+
+
+def fixed_step(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_valid=None):
+    """The fixed-features path on the inputs forward takes, and its per-prompt token gradients."""
+    _, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
+    step = fixed_features_objective(fix_features(features), tok_stack, valid_stack, masks, positives, cfg)
+    return step, [step.d_tok_stack[p, :n] for p, n in enumerate(lengths)]
+
+
+def scale_error(got, want):
+    """max |got - want| over max |want|; exact equality when want is all zero."""
+    if not want.any():
+        return 0.0 if not got.any() else np.inf
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+WIDE = SceneSpec(seed=1, height3=64, width3=64, channels=32, prompts=12, tokens=12, n_negatives=3)
+
+
+class TestFixedFeatures:
+    @pytest.mark.parametrize("args", [
+        lambda: scene_args(benchmark_spec(1), benchmark_config()),
+        lambda: scene_args(WIDE, benchmark_config()),
+        lambda: scene_args(benchmark_spec(2), ObjectiveConfig(gaco=GacoConfig(normalize=True))),
+        lambda: scene_args(benchmark_spec(3), ObjectiveConfig(gaco=GacoConfig(std_mode="std_plus_eps"))),
+        lambda: scene_args(benchmark_spec(4), replace(benchmark_config(), lambda_sem=0.0)),
+        lambda: scene_args(benchmark_spec(5), replace(benchmark_config(), lambda_geo=0.0)),
+        lambda: ragged_problem() + ([0], ObjectiveConfig(), None),
+        lambda: small_args(3, ObjectiveConfig(tau_t=0.5)),
+    ], ids=["desk", "wide", "normalized", "std-plus-eps", "no-sem", "no-geo", "ragged", "pad-tokens"])
+    def test_matches_forward_and_backward(self, args):
+        args = args()
+        tr = forward(*args)
+        want = backward(tr)
+        step, d_tokens = fixed_step(*args)
+        assert scale_error(step.dw, tr.dw) <= 1e-12
+        assert scale_error(step.up, tr.gaco.up_map) <= 1e-12
+        for got, ref in ((step.l_sem, tr.l_sem), (step.l_geo, tr.gaco.loss), (step.total, tr.total)):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert [d.shape for d in d_tokens] == [d.shape for d in want.d_tokens]
+        # relative to the whole gradient: a prompt without a region can get rounding noise only
+        assert scale_error(np.concatenate(d_tokens), np.concatenate(want.d_tokens)) <= 1e-12
+        assert not step.d_tok_stack[~tr.valid_stack].any()  # pad rows and invalid tokens: exactly 0
+
+    def test_zero_weights_give_the_exact_zeros_of_backward(self):
+        features, toks, valid, masks = small_problem(4)
+        cfg = ObjectiveConfig(lambda_sem=0.0, lambda_geo=0.0)
+        step, d_tokens = fixed_step(features, toks, masks, [0], cfg, valid)
+        want = objective_with_gradients(features, toks, masks, [0], cfg, valid)
+        assert step.total == 0.0
+        for got, ref in zip(d_tokens, want.d_tokens, strict=True):
+            assert not got.any() and not ref.any()
+
+    def test_token_gradients_match_fd_on_criterion_4_cases(self):
+        for case in find_gradcheck_cases(20, base_seed=4000):
+            args = (case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+            _, d_tokens = fixed_step(*args)
+            numeric = objective_fd_gradients(*args)
+            got = GradientBundle(d_features=[], d_tokens=d_tokens, l_sem=0.0, l_geo=0.0, total=0.0)
+            assert relative_gradient_error(got, replace(numeric, d_features=[])) <= 1e-5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_token_stack_rejected(self, value):
+        features, toks, valid, masks = small_problem(5)
+        _, tok_stack, valid_stack, _ = coerce_inputs(features, toks, valid)
+        tok_stack[1, 2, 0] = value
+        with pytest.raises(DomainError, match="token embeddings must be finite"):
+            fixed_features_objective(fix_features(features), tok_stack, valid_stack, masks, [0])
+
+    @pytest.mark.parametrize("corrupt,error,message", [
+        (lambda t, v: (t[..., :2], v), DimensionError, "token stack"),
+        (lambda t, v: (t[0], v[0]), DimensionError, "token stack"),
+        (lambda t, v: (t, v[:, :2]), DimensionError, "token stack"),
+        (lambda t, v: (t, v & np.array([[True], [False]])), DomainError, "at least one valid token"),
+    ], ids=["channels", "rank", "validity", "no-valid-token"])
+    def test_token_stack_checked(self, corrupt, error, message):
+        features, toks, valid, masks = small_problem(6)
+        _, tok_stack, valid_stack, _ = coerce_inputs(features, toks, valid)
+        with pytest.raises(error, match=message):
+            fixed_features_objective(fix_features(features), *corrupt(tok_stack, valid_stack), masks, [0])
+
+    def test_fixing_checks_the_features(self):
+        features, _, _, _ = small_problem(7)
+        with pytest.raises(DimensionError, match=r"scale 3 must be \(C, Hs, Ws\), got rank 2"):
+            fix_features(replaced(features, 0, features[0][0]))
+        features[2][0, 0, 0] = np.nan
+        with pytest.raises(DomainError, match="feature values must be finite"):
+            fix_features(features)

@@ -46,6 +46,12 @@ class TestFreeEnergy:
         with pytest.raises(DomainError):
             free_energy(np.array([1.2, -0.2, 0.0]), prob)
 
+    @pytest.mark.parametrize("q", [[np.nan, 0.5, 0.5], [np.nan, np.nan, np.nan], [1.0, 0.0, np.nan]])
+    def test_nan_mass_rejected(self, q):
+        # every comparison with NaN is False, so only a test for being on the simplex rejects it
+        with pytest.raises(DomainError, match=r"mass vector off the simplex: min=nan"):
+            free_energy(np.array(q), GibbsProblem(energy=np.zeros(3)))
+
     def test_mass_vector_length_checked(self):
         with pytest.raises(DimensionError):
             free_energy(np.full(4, 0.25), GibbsProblem(energy=np.zeros(3)))
@@ -69,7 +75,7 @@ class TestFreeEnergyStack:
             assert values.shape == (50,)
             np.testing.assert_allclose(values, [free_energy(q, prob) for q in qs], rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("row", [[0.5, 0.5, 0.1], [1.2, -0.2, 0.0]])
+    @pytest.mark.parametrize("row", [[0.5, 0.5, 0.1], [1.2, -0.2, 0.0], [np.nan, 0.5, 0.5]])
     def test_one_row_off_simplex_rejected(self, row):
         qs = np.full((4, 3), 1 / 3)
         qs[2] = row
