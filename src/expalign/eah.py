@@ -65,6 +65,7 @@ def token_posterior(sim, valid, tau_t=1.0):
         raise DomainError("at least one token must be valid")
     sbar = sim.mean(axis=(0, 1))  # (L,)
     logits = sbar[valid] / tau_t
+    # its own softmax, not variational.gibbs: a reference stays independent of the code it checks
     shifted = logits - logits.max()
     expv = np.exp(shifted)
     weights = np.zeros_like(sbar)

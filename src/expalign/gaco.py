@@ -60,6 +60,7 @@ def normalize_sim(m, eps=1e-6):
 def log_joint_softmax(m):
     """Log softmax over every prompt-location pair, per map of a (..., P, H, W) stack, max-subtracted."""
     flat = _flat_maps(m)
+    # a log form, not variational.gibbs: the loss reads log-probabilities, in the golden report's l_geo bytes
     z = flat - flat.max(axis=-1, keepdims=True)
     return (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(np.shape(m))
 

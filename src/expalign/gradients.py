@@ -38,6 +38,7 @@ import numpy as np
 from . import fusion, semantic
 from .errors import DimensionError, DomainError
 from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward, mask_segments
+from .variational import gibbs
 
 FD_STEP = 1e-4       # step of finite_difference_gradient's central differences
 ERROR_FLOOR = 1e-8   # smallest denominator of relative_gradient_error
@@ -143,11 +144,8 @@ def _targets(masks, positives, shape):
 
 
 def _masked_posteriors(sbar, valid, tau_t):
-    """Row-wise softmax of sbar / tau_t over valid entries; invalid get exp(-inf) = 0 exactly."""
-    z = np.where(valid, sbar / tau_t, -np.inf)
-    zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise Gibbs distribution of sbar / tau_t over valid entries; invalid get exactly 0."""
+    return gibbs(np.where(valid, sbar / tau_t, -np.inf))
 
 
 def _token_side(fbar, tok_stack, valid_stack, tau_t):
@@ -280,12 +278,12 @@ def _map_gradients(logits, selections, positives, dw_shape, gaco_result, cfg):
 
 
 def _token_chain(tok_stack, pi, fbar, big_g, tau_t):
-    """One scale's token gradient from big_g (P, C), the gradient at w = pi^T T: the
-    direct path through w and the posterior path through sbar = T.fbar. Returns
+    """The token gradient from big_g (..., P, C), the gradient at w = pi^T T, on _token_side's leading
+    axes: the direct path through w and the posterior path through sbar = T.fbar. Returns
     (d_sbar, d_tok); pad tokens have pi = d_sbar = 0, so their rows are 0."""
-    d_pi = (tok_stack @ big_g[:, :, None])[:, :, 0]
-    d_sbar = pi / tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
-    return d_sbar, pi[:, :, None] * big_g[:, None, :] + d_sbar[:, :, None] * fbar
+    d_pi = (tok_stack @ big_g[..., None])[..., 0]
+    d_sbar = pi / tau_t * (d_pi - (pi * d_pi).sum(axis=-1, keepdims=True))
+    return d_sbar, pi[..., None] * big_g[..., None, :] + d_sbar[..., None] * fbar[..., None, None, :]
 
 
 def objective_with_gradients(features, tokens, masks, positives,
@@ -308,16 +306,17 @@ class FixedFeatures:
 
 def fix_features(features):
     """The FixedFeatures of three (C, Hs, Ws) feature maps, checked as coerce_inputs checks them."""
-    fvals = coerce_features(features)
-    c = fvals[0].shape[0]
-    # each scale's block is written in place, so at peak memory holds one (3C, H3*W3) copy of up
-    down, up = np.empty((3 * c, fvals[2][0].size)), np.empty((3 * c, fvals[0][0].size))
-    for s in range(3):
-        alone = [fv if r == s else np.zeros_like(fv) for r, fv in enumerate(fvals)]
-        down[s * c:(s + 1) * c] = fusion.fuse_down(*alone).reshape(c, -1)
-        up[s * c:(s + 1) * c] = fusion.fuse_up(*alone).reshape(c, -1)
-    return FixedFeatures(fbars=np.stack([fv.reshape(c, -1).sum(axis=-1) / fv[0].size for fv in fvals]),
-                         down=down, up=up, grids=(fvals[2].shape[1:], fvals[0].shape[1:]))
+    f3, f4, f5 = fvals = coerce_features(features)
+    # each scale alone through fuse_down's and fuse_up's chains, zero terms dropped; up block by block
+    down = np.stack([fusion.downsample2x(fusion.downsample2x(f3) / 2.0) / 2.0,
+                     fusion.downsample2x(f4 / 2.0) / 2.0, f5 / 2.0])
+    up = np.empty((3,) + f3.shape)  # written in place, so at peak memory holds one (3C, H3*W3) copy
+    up[0] = f3 / 2.0
+    up[1] = fusion.upsample2x(f4 / 2.0) / 2.0
+    up[2] = fusion.upsample2x(fusion.upsample2x(f5) / 2.0) / 2.0
+    return FixedFeatures(fbars=np.stack([fv.reshape(len(fv), -1).sum(axis=-1) / fv[0].size for fv in fvals]),
+                         down=down.reshape(-1, f5[0].size), up=up.reshape(-1, f3[0].size),
+                         grids=(f5.shape[1:], f3.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -343,14 +342,14 @@ def fixed_features_objective(fixed, tok_stack, valid_stack, masks, positives, cf
     n_prompts = tok_stack.shape[0]
     (h5, w5), (h3, w3) = fixed.grids
     masks, pos = _targets(masks, positives, (n_prompts, h3, w3))
-    sides = [_token_side(fbar, tok_stack, valid_stack, cfg.tau_t) for fbar in fixed.fbars]
-    w = np.concatenate([side[2] for side in sides], axis=1)
+    _, pi, w = _token_side(fixed.fbars, tok_stack, valid_stack, cfg.tau_t)  # scale axis first
+    w = w.transpose(1, 0, 2).reshape(n_prompts, 3 * c)                    # [w3|w4|w5]
     out = _loss_tail((w @ fixed.down).reshape(n_prompts, h5, w5), (w @ fixed.up).reshape(n_prompts, h3, w3),
                      masks, pos, cfg)
     g_dw, g_up = _map_gradients(out["logits"], out["selections"], pos, out["dw"].shape, out["gaco"], cfg)
     big_g = g_dw.reshape(n_prompts, -1) @ fixed.down.T + g_up.reshape(n_prompts, -1) @ fixed.up.T
-    d_tok = sum(_token_chain(tok_stack, pi, fixed.fbars[s], big_g[:, s * c:(s + 1) * c], cfg.tau_t)[1]
-                for s, (_, pi, _) in enumerate(sides))
+    big_g = big_g.reshape(n_prompts, 3, c).transpose(1, 0, 2)            # (3, P, C) blocks
+    d_tok = _token_chain(tok_stack, pi, fixed.fbars, big_g, cfg.tau_t)[1].sum(axis=0)
     return TokenStep(dw=out["dw"], up=out["gaco"].up_map, l_sem=out["l_sem"], l_geo=out["gaco"].loss,
                      total=out["total"], d_tok_stack=d_tok)
 
@@ -444,14 +443,7 @@ def nondegeneracy_margins(tr):
     clip (at the trace's own clip bound), the per-scale argmax token, and the
     max-abs normalizer. Gradient checks require each to clear 1e-2.
     """
-    margins = {}
-    flat = tr.dw.reshape(tr.dw.shape[0], -1)
-    n, k = flat.shape[1], tr.k
-    if k < n:  # each prompt's k-th largest value minus its (k+1)-th; k = N has no cut
-        part = np.partition(flat, (n - k - 1, n - k), axis=1)
-        margins["topk"] = float(np.min(part[:, n - k] - part[:, n - k - 1]))
-    else:
-        margins["topk"] = np.inf
+    margins = {"topk": _order_gap(tr.dw.reshape(tr.dw.shape[0], -1), tr.k)}  # k = N has no cut
 
     clip_margin, c = np.inf, tr.gaco.cfg.clip
     for st, (start, stop) in zip(tr.gaco.stats, mask_segments(tr.gaco.masks)[1]):
@@ -462,15 +454,16 @@ def nondegeneracy_margins(tr):
         clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin
 
-    margins["token_argmax"] = min((_top_two_gap(tr.sbars[s][p][tr.valid_stack[p]])
-                                   for s in range(3) for p in range(tr.tok_stack.shape[0])), default=np.inf)
-    margins["norm_argmax"] = _top_two_gap(np.abs(tr.gaco.up_map).ravel())
+    margins["token_argmax"] = _order_gap(np.where(tr.valid_stack, np.stack(tr.sbars), -np.inf))  # pads rank last
+    margins["norm_argmax"] = _order_gap(np.abs(tr.gaco.up_map).ravel())
     return margins
 
 
-def _top_two_gap(v):
-    """Largest value of a 1-D array minus the second largest, or inf below two values."""
-    if v.size < 2:
+def _order_gap(v, k=1):
+    """The smallest, over the rows of v along its last axis, of a row's k-th largest value
+    minus its (k+1)-th; inf when rows hold k values or fewer, NaN when a gap is NaN."""
+    n = v.shape[-1]
+    if k >= n:
         return np.inf
-    top = np.partition(v, v.size - 2)  # the second largest at v.size - 2, so the largest after it
-    return float(top[-1] - top[-2])
+    part = np.partition(v, (n - k - 1, n - k), axis=-1)
+    return float(np.min(part[..., n - k] - part[..., n - k - 1]))

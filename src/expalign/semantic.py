@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .variational import gibbs
 
 
 def topk_budget(h3, w3, n_cells_coarse, ratio=0.01):
@@ -83,6 +84,7 @@ def infonce_rows(logits, positives, tau):
     unchecked: positives are distinct indices and tau is positive. The log is libm's,
     through math.log, for every row alike; numpy's vectorized log rounds about one
     value in a thousand differently."""
+    # its own log-sum-exp, not variational.gibbs: the libm log gives the golden report's l_sem bytes
     z = logits.T / tau  # prompts first, so a batch broadcasts along the trailing axis
     zmax = z.max(axis=0)
     lse = zmax + np.asarray(_libm_log(np.exp(z - zmax).sum(axis=0)), dtype=np.float64)
@@ -94,10 +96,7 @@ def pooled_infonce_backward(logits, selections, positives, shape, tau, g_loss):
     """Gradient of g_loss * infonce_multi_positive(logits) with respect to the (P, H, W) coarse
     maps; top-k sets are locally constant, so each logit's gradient spreads evenly over its set."""
     positives = sorted(set(int(p) for p in positives))
-    z = logits / tau
-    z = z - z.max()
-    q = np.exp(z)
-    q /= q.sum()
+    q = gibbs(logits / tau)
     y = np.zeros(len(logits))
     y[positives] = 1.0
     d_logit = (q - y / len(positives)) / tau

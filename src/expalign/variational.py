@@ -111,12 +111,16 @@ def free_energy_gradient(q, prob):
     return _free_energy_gradient(qf, prob.effective_energy(), prob.tau, 1.0 / prob.size)
 
 
+def gibbs(z):
+    """exp(z) / sum(exp(z)) along the last axis, max-shifted, with weight exactly 0 at -inf: the
+    token posterior, the contrastive softmax and the free-energy minimizer all normalize here."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def gibbs_closed_form(prob):
-    """The unique minimizer: softmax of -(E - lam*A) / tau, max-subtracted."""
-    z = -prob.effective_energy() / prob.tau
-    z = z - z.max()
-    e = np.exp(z)
-    return (e / e.sum()).reshape(prob.energy.shape)
+    """The unique minimizer: the Gibbs distribution of -(E - lam*A) / tau."""
+    return gibbs(-prob.effective_energy() / prob.tau).reshape(prob.energy.shape)
 
 
 @dataclass(frozen=True)

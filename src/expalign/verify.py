@@ -136,6 +136,7 @@ def _loop_head(features, tokens, valid, tau_t=1.0):
     _, h, w = features.shape
     sim = np.array([[tokens @ features[:, x, y] for y in range(w)] for x in range(h)])
     logits = sim.mean(axis=(0, 1))[valid] / tau_t
+    # its own softmax, not variational.gibbs: the oracle stays independent of the head it checks
     e = np.exp(logits - logits.max())
     pi = np.zeros(len(tokens))
     pi[valid] = e / e.sum()
@@ -664,7 +665,7 @@ FAULTS = {
                                     "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
     "eah-map-scaled-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat * (1 + 1e-9))"),)),
     "eah-map-offset-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat + 1e-9)"),)),
-    "eah-shift-by-min": ("eah", ((gradients._masked_posteriors, "z.max(", "z.min("),)),
+    "eah-shift-by-min": ("eah", ((variational.gibbs, "z.max(", "z.min("),)),
     "sem-offset-1e-9": ("sem", ((semantic.infonce_rows, "+ 0.0", "+ 1e-9"),)),
     "sem-topk-ties-high": ("sem", ((semantic.topk_select, "np.argsort(-values, ",
                                     "values.shape[-1] - 1 - np.argsort(-values[..., ::-1], "),)),
@@ -685,8 +686,8 @@ FAULTS = {
     "gibbs-kl-no-log-n": ("gibbs", ((variational._free_energies, " - log_u)", ")"),)),
     "fixed-no-up-term": ("grad", ((gradients.fixed_features_objective,
                                    " + g_up.reshape(n_prompts, -1) @ fixed.up.T", ""),)),
-    "fixed-scale-3-block": ("grad", ((gradients.fixed_features_objective, "big_g[:, s * c:(s + 1) * c]",
-                                      "big_g[:, :c]"),)),
+    "fixed-scale-3-block": ("grad", ((gradients.fixed_features_objective, "reshape(n_prompts, 3, c)",
+                                      "reshape(n_prompts, 3, c)[:, :1]"),)),
 }
 
 

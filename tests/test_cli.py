@@ -178,6 +178,22 @@ class TestConfigAndSeeds:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: seed") and res.stdout == ""
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["demo", "--seeds", "1,x"], None,
+         "expalign demo: error: argument --seeds: --seeds expects comma-separated integers, got '1,x'"),
+        (["loss", "--config", "absent.json"], None, "error: cannot read config file: "),
+        (["loss", "--config", "cfg.json"], "[1]", "error: config file must hold a JSON object"),
+        (["loss", "--config", "cfg.json"], "{bad", "error: invalid config JSON at line 1 column 2: "),
+        (["loss", "--out", "absent/report.json"], None, "i/o error: "),
+    ], ids=["seeds-not-integers", "config-missing", "config-not-object", "config-not-json", "out-dir-missing"])
+    def test_unusable_input_or_output_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+        assert exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].startswith(message)
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, tmp_path):
@@ -219,7 +235,8 @@ class TestVerifyCommand:
         table = run_cli(fault, cwd=tmp_path)
         assert table.returncode == 1, table.stderr
         assert "FAIL eah_temperature_limits             residual=nan tol=1.0e-05" in table.stdout
-        assert table.stdout.endswith(f"FAILURES detected ({sum(c['passed'] for c in checks.values())}/42)\n")
+        passed = sum(c["passed"] for c in checks.values())
+        assert table.stdout.endswith(f"FAILURES detected ({passed}/{len(checks)})\n")
 
     def test_fault_outside_the_subcommand_groups_rejected(self, tmp_path):
         res = run_cli(["mil", "--inject-fault", "gaco-sign"], cwd=tmp_path)

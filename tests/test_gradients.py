@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from expalign import gradients
+from expalign import fusion, gradients
 from expalign.errors import DimensionError, DomainError
 from expalign.gaco import GacoConfig, confidence, gaco_forward
 from expalign.gradients import (
@@ -419,6 +419,40 @@ class TestNondegeneracyScreen:
         margins = nondegeneracy_margins(tr)
         assert margins["topk"] == 0.0
 
+    def test_clip_margin_skips_an_empty_region(self):
+        features, toks, valid, masks = small_problem(9)
+        masks[1] = False
+        tr = forward(features, toks, masks, [0], ObjectiveConfig(gaco=GacoConfig(normalize=False)), valid)
+        assert tr.gaco.stats[1] is None
+        conf = confidence(tr.gaco.up_map[0][masks[0]])
+        zpre = (conf - conf.mean()) / np.sqrt(conf.var() + 1e-6)
+        margin = float(np.min(np.minimum(np.abs(zpre - 3.0), np.abs(zpre + 3.0))))
+        assert abs(nondegeneracy_margins(tr)["clip"] - margin) <= 1e-12
+
+    @staticmethod
+    def top_two_gap_form(v):  # the removed gradients._top_two_gap
+        if v.size < 2:
+            return np.inf
+        top = np.partition(v, v.size - 2)
+        return float(top[-1] - top[-2])
+
+    @pytest.mark.parametrize("v", [
+        [], [2.0], [1.0, 3.0], [3.0, 3.0], np.random.default_rng(0).normal(size=20), [-np.inf, 1.0],
+        [np.inf, np.inf], [np.nan, 1.0, 2.0], [1.0, np.nan, 2.0, np.nan], [np.nan],
+    ], ids=["empty", "one", "two", "tie", "normal", "minus-inf", "two-inf", "nan", "two-nan", "one-nan"])
+    def test_order_gap_matches_the_top_two_form_bitwise(self, v):
+        v = np.array(v, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = gradients._order_gap(v), self.top_two_gap_form(v)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("row", range(3))
+    def test_order_gap_keeps_a_nan_in_any_row(self, row):
+        # Python's min over per-row gaps dropped a NaN after the first row
+        v = np.arange(12.0).reshape(3, 4)
+        v[row, 1] = np.nan
+        assert np.isnan(gradients._order_gap(v))
+
 
 class TestFusedMaps:
     def test_shapes(self):
@@ -450,6 +484,27 @@ def fixed_step(features, tokens, masks, positives, cfg=ObjectiveConfig(), token_
     _, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
     step = fixed_features_objective(fix_features(features), tok_stack, valid_stack, masks, positives, cfg)
     return step, [step.d_tok_stack[p, :n] for p, n in enumerate(lengths)]
+
+
+def per_scale_step(fixed, tok_stack, valid_stack, masks, positives, cfg):
+    """fixed_features_objective as a loop over scales, with _token_chain's per-scale
+    body: its _loss_tail output and its token-stack gradient."""
+    n_prompts, c = tok_stack.shape[0], fixed.fbars.shape[1]
+    (h5, w5), (h3, w3) = fixed.grids
+    masks, pos = gradients._targets(masks, positives, (n_prompts, h3, w3))
+    sides = [gradients._token_side(fbar, tok_stack, valid_stack, cfg.tau_t) for fbar in fixed.fbars]
+    w = np.concatenate([side[2] for side in sides], axis=1)
+    out = gradients._loss_tail((w @ fixed.down).reshape(n_prompts, h5, w5),
+                               (w @ fixed.up).reshape(n_prompts, h3, w3), masks, pos, cfg)
+    g_dw, g_up = gradients._map_gradients(out["logits"], out["selections"], pos, out["dw"].shape, out["gaco"], cfg)
+    big_g = g_dw.reshape(n_prompts, -1) @ fixed.down.T + g_up.reshape(n_prompts, -1) @ fixed.up.T
+    chains = []
+    for s, (_, pi, _) in enumerate(sides):
+        g = big_g[:, s * c:(s + 1) * c]
+        d_pi = (tok_stack @ g[:, :, None])[:, :, 0]
+        d_sbar = pi / cfg.tau_t * (d_pi - (pi * d_pi).sum(axis=1, keepdims=True))
+        chains.append(pi[:, :, None] * g[:, None, :] + d_sbar[:, :, None] * fixed.fbars[s])
+    return out, sum(chains)
 
 
 def scale_error(got, want):
@@ -531,3 +586,31 @@ class TestFixedFeatures:
         features[2][0, 0, 0] = np.nan
         with pytest.raises(DomainError, match="feature values must be finite"):
             fix_features(features)
+
+    @pytest.mark.parametrize("shape", [(16, 24, 24), (32, 64, 64), (3, 8, 4)], ids=["desk", "wide", "two-columns"])
+    def test_blocks_match_the_fusion_of_one_scale_alone_bitwise(self, shape):
+        c, h3, w3 = shape
+        rng = np.random.default_rng(8)
+        features = [rng.normal(size=(c, h3 // f, w3 // f)) for f in (1, 2, 4)]
+        fixed = fix_features(features)
+        for s in range(3):
+            alone = [fv if r == s else np.zeros_like(fv) for r, fv in enumerate(features)]
+            assert fixed.down[s * c:(s + 1) * c].tobytes() == fusion.fuse_down(*alone).tobytes()
+            assert fixed.up[s * c:(s + 1) * c].tobytes() == fusion.fuse_up(*alone).tobytes()
+
+    @pytest.mark.parametrize("args", [
+        lambda: scene_args(benchmark_spec(1), benchmark_config()),
+        lambda: scene_args(WIDE, benchmark_config()),
+        lambda: ragged_problem() + ([0], ObjectiveConfig(), None),
+        lambda: small_args(3, ObjectiveConfig(tau_t=0.5)),
+    ], ids=["desk", "wide", "ragged", "pad-tokens"])
+    def test_scale_axis_matches_the_per_scale_loop_bitwise(self, args):
+        features, tokens, masks, positives, cfg, valid = args()
+        _, tok_stack, valid_stack, _ = coerce_inputs(features, tokens, valid)
+        fixed = fix_features(features)
+        step = fixed_features_objective(fixed, tok_stack, valid_stack, masks, positives, cfg)
+        out, d_tok = per_scale_step(fixed, tok_stack, valid_stack, masks, positives, cfg)
+        pairs = ((step.dw, out["dw"]), (step.up, out["gaco"].up_map), (step.d_tok_stack, d_tok),
+                 (np.array([step.l_sem, step.l_geo, step.total]),
+                  np.array([out["l_sem"], out["gaco"].loss, out["total"]])))
+        assert all(got.tobytes() == want.tobytes() for got, want in pairs)

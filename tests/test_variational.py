@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from expalign import gradients, semantic
 from expalign.errors import DimensionError, DomainError
 from expalign.variational import (
     GibbsProblem,
     free_energy,
+    gibbs,
     gibbs_closed_form,
     minimize_free_energy_numeric,
     random_simplex,
@@ -166,3 +168,67 @@ class TestProblemValidation:
     def test_nonfinite_energy(self):
         with pytest.raises(DomainError):
             GibbsProblem(energy=np.array([0.0, np.inf]))
+
+
+# The three softmax bodies gibbs replaced, kept as bitwise references.
+def masked_posteriors_body(z):  # gradients._masked_posteriors, after its -inf masking
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - zmax)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def infonce_backward_body(z):  # semantic.pooled_infonce_backward, on logits / tau
+    z = z - z.max()
+    q = np.exp(z)
+    q /= q.sum()
+    return q
+
+
+def closed_form_body(z):  # gibbs_closed_form, on -(E - lam*A) / tau
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def gibbs_rows():
+    rng = np.random.default_rng(24)
+    masked = rng.normal(size=9)
+    masked[[1, 4, 5]] = -np.inf
+    return {"normal": rng.normal(size=7), "masked": masked, "one-valid": np.array([-np.inf, 2.5, -np.inf]),
+            "one-entry": np.array([-3.0]), "ties": np.array([1.5, 1.5, -0.5, 1.5]),
+            "spread-1e3": rng.normal(size=11) * 1e3, "spread-1e300": np.array([1e300, -1e300, 0.0, 1e299])}
+
+
+class TestGibbs:
+    @pytest.mark.parametrize("name", sorted(gibbs_rows()))
+    def test_matches_the_bodies_it_replaced_bitwise(self, name):
+        z = gibbs_rows()[name]
+        for body in (masked_posteriors_body, infonce_backward_body, closed_form_body):
+            assert gibbs(z).tobytes() == body(z).tobytes(), body.__name__
+        assert gibbs(z)[z == -np.inf].tobytes() == np.zeros(np.sum(z == -np.inf)).tobytes()
+
+    def test_rows_of_a_stack_normalize_on_their_own(self):
+        stack = np.random.default_rng(3).normal(size=(2, 5, 7)) * 50
+        stack[0, :, 1:3] = -np.inf
+        stack[1, 2, :-1] = -np.inf  # one valid entry
+        got = gibbs(stack)
+        assert got.tobytes() == masked_posteriors_body(stack).tobytes()
+        assert got.tobytes() == np.array([[gibbs(row) for row in rows] for rows in stack]).tobytes()
+
+    def test_callers_keep_the_bytes_of_their_own_softmax(self):
+        rng = np.random.default_rng(5)
+        sbar, valid = rng.normal(size=(3, 4, 6)) * 20, rng.random(size=(4, 6)) < 0.5
+        valid[:, 2] = True
+        want = masked_posteriors_body(np.where(valid, sbar / 0.7, -np.inf))
+        assert gradients._masked_posteriors(sbar, valid, 0.7).tobytes() == want.tobytes()
+
+        prob = random_problem(rng, n=12)
+        want = closed_form_body(-prob.effective_energy() / prob.tau)
+        assert gibbs_closed_form(prob).tobytes() == want.tobytes()
+
+        logits, tau, positives = rng.normal(size=5) * 3, 0.25, [1, 3]
+        selections = [np.sort(rng.choice(16, size=3, replace=False)) for _ in range(5)]
+        g = semantic.pooled_infonce_backward(logits, selections, positives, (5, 4, 4), tau, 0.5)
+        d_logit = (infonce_backward_body(logits / tau) - np.isin(np.arange(5), positives) / 2) / tau
+        picked = np.take_along_axis(g.reshape(5, -1), np.array(selections), axis=1)
+        assert picked.tobytes() == np.repeat((d_logit / 3 * 0.5)[:, None], 3, axis=1).tobytes()

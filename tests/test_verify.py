@@ -9,13 +9,14 @@ once, as a check in `expalign.verify`; this module runs them. Each fault of
 
 import inspect
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_python
-from expalign import gradients, verify
+from expalign import fusion, gradients, verify
 from expalign.errors import DomainError
 
 GROUPS = sorted({group for _, group, _, _ in verify._CHECKS})
@@ -108,6 +109,15 @@ def test_fault_edits_match_their_source_once(fault):
     # read without planting, so a refactor that moves a mutated line fails here, naming the row
     for function, old, _ in verify.FAULTS[fault][1]:
         assert inspect.getsource(function).count(old) == 1, f"{function.__qualname__}: {old!r}"
+
+
+@pytest.mark.parametrize("old,count", [("a00 * a01", 0), ("a00 + a01", 2)])
+def test_fault_edit_that_is_not_one_occurrence_rejected(monkeypatch, old, count):
+    code = fusion.downsample2x.__code__
+    monkeypatch.setitem(verify.FAULTS, "probe", ("fusion", ((fusion.downsample2x, old, "a00"),)))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'downsample2x: {old!r} occurs {count} times, not once')}$"):
+        verify.run_suite(groups=["fusion"], fault="probe")
+    assert fusion.downsample2x.__code__ is code
 
 
 def test_gaco_sign_reaches_by_name_imports(monkeypatch):
