@@ -6,7 +6,10 @@ geometry term. Backward accumulates into the feature maps and the token
 embeddings, the two quantities an encoder or adapter would receive.
 
 The head is computed in rank-C form, sbar = T.fbar and eam = F^T (pi^T T): the
-(P, H, W, L) similarity tensor of eah's reference form is never built.
+(P, H, W, L) similarity tensor of eah's reference form is never built. A prompt's
+posterior sees a scale only through its channel mean fbar, so one _head call runs
+the token side of all three scales on a leading scale axis, and backward stacks
+the gradients at w into G (3, P, C) for one _token_chain call.
 
 Internally prompts are padded to a common token count and processed batched;
 pad tokens carry exactly zero posterior weight and zero gradient, so padding
@@ -19,10 +22,11 @@ image's features or tokens, under the advantage frozen at its base point.
 
 Pre-fused features: the fusion is linear, so with w = [w3|w4|w5] (P, 3C) the
 fused maps are dw = w.DF and up = w.UF, where DF and UF (3C, cells) fuse each
-scale's channel planes on their own, and the token gradient needs only
-G = g_dw.DF^T + g_up.UF^T. The training demo's features are fixed, so it fuses
-them once (fix_features) and steps with fixed_features_objective; its maps
-agree with forward's to rounding, not bit for bit.
+scale's channel planes on their own, and G = g_dw.DF^T + g_up.UF^T, whose
+(3, P, C) blocks go through the same token side and chain rule. The training
+demo's features are fixed, so it fuses them once (fix_features) and steps with
+fixed_features_objective; its maps agree with forward's to rounding, not bit
+for bit.
 
 Stop-gradient conventions, fixed here and honored by the finite-difference
 oracle: the advantage tensor is a constant under differentiation, top-k index
@@ -148,21 +152,26 @@ def _masked_posteriors(sbar, valid, tau_t):
     return gibbs(np.where(valid, sbar / tau_t, -np.inf))
 
 
+def _channel_means(flats):
+    """The (..., C) channel means of each (..., C, n) flattened map, stacked on a leading scale axis."""
+    return np.stack([flat.sum(axis=-1) / flat.shape[-1] for flat in flats])  # as np.mean but cheaper per call
+
+
 def _token_side(fbar, tok_stack, valid_stack, tau_t):
-    """The head's token side at one scale, from the (..., C) channel mean fbar: sbar = T.fbar,
-    the posterior pi (..., P, L) and the posterior-weighted token w = pi^T T (..., P, C)."""
+    """The head's token side from the (..., C) channel means fbar: sbar = T.fbar, the
+    posterior pi (..., P, L) and the posterior-weighted token w = pi^T T (..., P, C)."""
     sbar = (tok_stack @ fbar[..., None, :, None])[..., 0]
     pi = _masked_posteriors(sbar, valid_stack, tau_t)
     return sbar, pi, (pi[..., None, :] @ tok_stack)[..., 0, :]
 
 
-def _head(fv, tok_stack, valid_stack, tau_t):
-    """Rank-C head of every prompt at one scale: _token_side's sbar, pi and w, and
-    eam = w.F (..., P, Hs, Ws); fv is (..., C, Hs, Ws)."""
-    flat = fv.reshape(fv.shape[:-2] + (-1,))                           # (..., C, Hs*Ws)
-    fbar = flat.sum(axis=-1) / flat.shape[-1]                          # as np.mean but cheaper per call
-    sbar, pi, w = _token_side(fbar, tok_stack, valid_stack, tau_t)
-    return sbar, pi, w, (w @ flat).reshape(w.shape[:-1] + fv.shape[-2:])
+def _head(fvals, tok_stack, valid_stack, tau_t):
+    """Rank-C head of every prompt at every scale of fvals, a list of (..., C, Hs, Ws) maps
+    whose leading axes broadcast against the token stack's: _token_side's sbar, pi and w
+    on a leading scale axis, and per scale the map eam = w.F (..., P, Hs, Ws)."""
+    flats = [fv.reshape(fv.shape[:-2] + (-1,)) for fv in fvals]        # (..., C, Hs*Ws)
+    sbar, pi, w = _token_side(_channel_means(flats), tok_stack, valid_stack, tau_t)
+    return sbar, pi, w, [(ws @ flat).reshape(ws.shape[:-1] + fv.shape[-2:]) for ws, flat, fv in zip(w, flats, fvals)]
 
 
 @dataclass
@@ -173,10 +182,10 @@ class Trace:
     tok_stack: np.ndarray    # (P, Lmax, C)
     valid_stack: np.ndarray  # (P, Lmax)
     lengths: list
-    sbars: list      # per scale: (P, Lmax), the spatially averaged similarity
-    pis: list        # per scale: (P, Lmax)
-    ws: list         # per scale: (P, C), the posterior-weighted token
-    eams: list       # per scale: (P, Hs, Ws)
+    sbars: np.ndarray  # (3, P, Lmax), the spatially averaged similarity
+    pis: np.ndarray    # (3, P, Lmax)
+    ws: np.ndarray     # (3, P, C), the posterior-weighted token
+    eams: list         # per scale: (P, Hs, Ws)
     dw: np.ndarray   # (P, H5, W5); the fine map (P, H3, W3) is gaco.up_map
     k: int
     selections: list  # flat top-k indices per prompt on dw
@@ -193,9 +202,9 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     """Full forward pass; frozen_adv substitutes the advantage tensor."""
     fvals, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
     masks, pos = _targets(masks, positives, tok_stack.shape[:1] + fvals[0].shape[1:])
-    sbars, pis, ws, eams = zip(*(_head(fv, tok_stack, valid_stack, cfg.tau_t) for fv in fvals))
+    sbars, pis, ws, eams = _head(fvals, tok_stack, valid_stack, cfg.tau_t)
     return Trace(fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
-                 sbars=list(sbars), pis=list(pis), ws=list(ws), eams=list(eams), positives=pos, cfg=cfg,
+                 sbars=sbars, pis=pis, ws=ws, eams=eams, positives=pos, cfg=cfg,
                  **_losses(eams, masks, pos, cfg, frozen_adv))
 
 
@@ -240,31 +249,20 @@ class GradientBundle:
 def backward(tr):
     """Reverse pass over a Trace, under its forward's config; gradients w.r.t. features and tokens."""
     cfg = tr.cfg
-    n_prompts = tr.tok_stack.shape[0]
     g_dw, g_up = _map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, cfg)
-    gd3, gd4, gd5 = fusion.fuse_down_adjoint(g_dw)
-    gu3, gu4, gu5 = fusion.fuse_up_adjoint(g_up)
-    g_eams = [gd3 + gu3, gd4 + gu4, gd5 + gu5]
-
+    flats = [fv.reshape(len(fv), -1) for fv in tr.fvals]                              # (C, n) per scale
+    gs = [(gd + gu).reshape(len(tr.tok_stack), -1)                                    # (P, n) per scale
+          for gd, gu in zip(fusion.fuse_down_adjoint(g_dw), fusion.fuse_up_adjoint(g_up))]
+    # big_g = sum_xy g.F (3, P, C) is the gradient at w, through eam = w.F: one chain rule for every scale
+    d_sbar, d_tok_stack = _token_chain(tr.tok_stack, tr.pis, _channel_means(flats),
+                                       np.stack([g @ flat.T for g, flat in zip(gs, flats)]), cfg.tau_t)
     d_features = []
-    d_tok_stack = np.zeros_like(tr.tok_stack)
-    for s, fv in enumerate(tr.fvals):
-        flat = fv.reshape(fv.shape[0], -1)                          # (C, n)
-        n = flat.shape[1]
-        g = g_eams[s].reshape(n_prompts, -1)
-        # big_g = sum_xy g.F (P, C) is the gradient at w, through eam = w.F
-        d_sbar, d_tok = _token_chain(tr.tok_stack, tr.pis[s], flat.sum(axis=1) / n, g @ flat.T, cfg.tau_t)
-        d_fbar = np.einsum("pl,plc->c", d_sbar, tr.tok_stack)
-        d_flat = tr.ws[s].T @ g                                     # (C, n)
-        d_flat += d_fbar[:, None] / n                               # in place: no second (C, n) temporary
+    for fv, flat, g, w, ds in zip(tr.fvals, flats, gs, tr.ws, d_sbar):
+        d_flat = w.T @ g                                                 # (C, n); d fbar / n goes in in place
+        d_flat += np.einsum("pl,plc->c", ds, tr.tok_stack)[:, None] / flat.shape[1]
         d_features.append(d_flat.reshape(fv.shape))
-        d_tok_stack += d_tok
-
-    d_tokens = [d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)]
-    return GradientBundle(
-        d_features=d_features, d_tokens=d_tokens,
-        l_sem=tr.l_sem, l_geo=tr.gaco.loss, total=tr.total,
-    )
+    return GradientBundle(d_features=d_features, d_tokens=[d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)],
+                          l_sem=tr.l_sem, l_geo=tr.gaco.loss, total=tr.total)
 
 
 def _map_gradients(logits, selections, positives, dw_shape, gaco_result, cfg):
@@ -278,12 +276,12 @@ def _map_gradients(logits, selections, positives, dw_shape, gaco_result, cfg):
 
 
 def _token_chain(tok_stack, pi, fbar, big_g, tau_t):
-    """The token gradient from big_g (..., P, C), the gradient at w = pi^T T, on _token_side's leading
-    axes: the direct path through w and the posterior path through sbar = T.fbar. Returns
-    (d_sbar, d_tok); pad tokens have pi = d_sbar = 0, so their rows are 0."""
+    """The token gradient from big_g (S, P, C), the gradient at w = pi^T T on _token_side's scale axis,
+    through w directly and through the posterior of sbar = T.fbar. Returns d_sbar (S, P, L) and the
+    (P, L, C) token gradient summed over the scales; pad tokens have pi = d_sbar = 0, so their rows are 0."""
     d_pi = (tok_stack @ big_g[..., None])[..., 0]
     d_sbar = pi / tau_t * (d_pi - (pi * d_pi).sum(axis=-1, keepdims=True))
-    return d_sbar, pi[..., None] * big_g[..., None, :] + d_sbar[..., None] * fbar[..., None, None, :]
+    return d_sbar, (pi[..., None] * big_g[..., None, :] + d_sbar[..., None] * fbar[..., None, None, :]).sum(axis=0)
 
 
 def objective_with_gradients(features, tokens, masks, positives,
@@ -314,7 +312,7 @@ def fix_features(features):
     up[0] = f3 / 2.0
     up[1] = fusion.upsample2x(f4 / 2.0) / 2.0
     up[2] = fusion.upsample2x(fusion.upsample2x(f5) / 2.0) / 2.0
-    return FixedFeatures(fbars=np.stack([fv.reshape(len(fv), -1).sum(axis=-1) / fv[0].size for fv in fvals]),
+    return FixedFeatures(fbars=_channel_means([fv.reshape(len(fv), -1) for fv in fvals]),
                          down=down.reshape(-1, f5[0].size), up=up.reshape(-1, f3[0].size),
                          grids=(f5.shape[1:], f3.shape[1:]))
 
@@ -349,15 +347,14 @@ def fixed_features_objective(fixed, tok_stack, valid_stack, masks, positives, cf
     g_dw, g_up = _map_gradients(out["logits"], out["selections"], pos, out["dw"].shape, out["gaco"], cfg)
     big_g = g_dw.reshape(n_prompts, -1) @ fixed.down.T + g_up.reshape(n_prompts, -1) @ fixed.up.T
     big_g = big_g.reshape(n_prompts, 3, c).transpose(1, 0, 2)            # (3, P, C) blocks
-    d_tok = _token_chain(tok_stack, pi, fixed.fbars, big_g, cfg.tau_t)[1].sum(axis=0)
     return TokenStep(dw=out["dw"], up=out["gaco"].up_map, l_sem=out["l_sem"], l_geo=out["gaco"].loss,
-                     total=out["total"], d_tok_stack=d_tok)
+                     total=out["total"], d_tok_stack=_token_chain(tok_stack, pi, fixed.fbars, big_g, cfg.tau_t)[1])
 
 
 def fused_maps(features, tokens, tau_t=1.0, token_valid=None):
     """Coarse and fine fused maps (dw, up) without touching the losses."""
     fvals, tok_stack, valid_stack, _ = coerce_inputs(features, tokens, token_valid)
-    eams = [_head(fv, tok_stack, valid_stack, tau_t)[3] for fv in fvals]
+    eams = _head(fvals, tok_stack, valid_stack, tau_t)[3]
     return fusion.fuse_down(*eams), fusion.fuse_up(*eams)
 
 
@@ -387,12 +384,13 @@ def objective_fd_gradients(features, tokens, masks, positives,
     features and of each prompt's tokens, moved by each stencil offset) then go
     through the loss tail in batches of FD_CHUNK, grouped by the array they move:
     a feature point runs the head at its own scale and reuses the base maps of the
-    other two, and a token point runs the three heads on its token stack.
+    other two, and a token point runs one head call, every scale, on its token stack.
     """
     base = forward(features, tokens, masks, positives, cfg, token_valid)
     h, pairs = FD_STENCIL["step"], FD_STENCIL["pairs"]
     offsets = np.array([sign * o * h for o, _ in pairs for sign in (1, -1)])  # x + o h, then x - o h, per pair
     arrays = base.fvals + [base.tok_stack]
+    base_maps = [fv[None] for fv in base.fvals]  # a token point's features: the base maps on a unit batch axis
     grads = []
     for s, a in enumerate(arrays):
         coords = np.arange(a.size)
@@ -407,18 +405,16 @@ def objective_fd_gradients(features, tokens, masks, positives,
             x = x.reshape((-1,) + a.shape)
             if s < 3:
                 eams = [np.broadcast_to(e, x.shape[:1] + e.shape) for e in base.eams]
-                eams[s] = _head(x, base.tok_stack, base.valid_stack, cfg.tau_t)[3]
+                eams[s] = _head([x], base.tok_stack, base.valid_stack, cfg.tau_t)[3][0]
             else:
-                eams = [_head(fv, x, base.valid_stack, cfg.tau_t)[3] for fv in base.fvals]
+                eams = _head(base_maps, x, base.valid_stack, cfg.tau_t)[3]
             values[start:stop] = _losses(eams, base.gaco.masks, base.positives, cfg, base.gaco.adv)["total"]
         f = values.reshape(coords.size, len(pairs), 2)
         grad = np.zeros(a.size)
         grad[coords] = sum(w * (f[:, j, 0] - f[:, j, 1]) for j, (_, w) in enumerate(pairs))
         grads.append((grad / (FD_STENCIL["divisor"] * h)).reshape(a.shape))
-    return GradientBundle(
-        d_features=grads[:3], d_tokens=[grads[3][p, :n] for p, n in enumerate(base.lengths)],
-        l_sem=base.l_sem, l_geo=base.gaco.loss, total=base.total,
-    )
+    return GradientBundle(d_features=grads[:3], d_tokens=[grads[3][p, :n] for p, n in enumerate(base.lengths)],
+                          l_sem=base.l_sem, l_geo=base.gaco.loss, total=base.total)
 
 
 def relative_gradient_error(analytic, numeric):
@@ -454,16 +450,19 @@ def nondegeneracy_margins(tr):
         clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin
 
-    margins["token_argmax"] = _order_gap(np.where(tr.valid_stack, np.stack(tr.sbars), -np.inf))  # pads rank last
+    margins["token_argmax"] = _order_gap(np.where(tr.valid_stack, tr.sbars, -np.inf))  # pads rank last
     margins["norm_argmax"] = _order_gap(np.abs(tr.gaco.up_map).ravel())
     return margins
 
 
 def _order_gap(v, k=1):
     """The smallest, over the rows of v along its last axis, of a row's k-th largest value
-    minus its (k+1)-th; inf when rows hold k values or fewer, NaN when a gap is NaN."""
+    minus its (k+1)-th; inf when rows hold k values or fewer, else NaN when v holds a NaN
+    (np.partition puts NaNs last, so past k = 1 both values it reads can be real) or a gap is NaN."""
     n = v.shape[-1]
     if k >= n:
         return np.inf
+    if np.isnan(v).any():
+        return np.nan
     part = np.partition(v, (n - k - 1, n - k), axis=-1)
     return float(np.min(part[..., n - k] - part[..., n - k - 1]))

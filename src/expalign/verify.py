@@ -124,9 +124,9 @@ def _draw_head_inputs(rng, h, w, l, c=4):
 
 
 def _prompt_head(features, tokens, valid, tau_t=1.0):
-    """gradients._head on one prompt: its posterior (L,) and its map (H, W)."""
-    _, pi, _, eam = gradients._head(features, tokens[None], valid[None], tau_t)
-    return pi[0], eam[0]
+    """gradients._head on one prompt at one scale: its posterior (L,) and its map (H, W)."""
+    _, pi, _, (eam,) = gradients._head([features], tokens[None], valid[None], tau_t)
+    return pi[0, 0], eam[0]
 
 
 def _loop_head(features, tokens, valid, tau_t=1.0):
@@ -655,6 +655,42 @@ def _grad_fixed(rng):
         "fixed-features maps, losses and token gradients against forward and backward"
 
 
+@_register("gaco_advantage_loop_oracle", "gaco", 1e-12)
+def _gaco_adv_loop(rng):
+    m = rng.normal(size=(3, 6, 6))
+    masks = rng.random(size=(3, 6, 6)) < 0.5
+    scale = float(np.abs(m).max())
+    worst = 0.0
+    for std_mode in gaco.STD_MODES:
+        cfg = gaco.GacoConfig(clip=1.5, eps=0.1, std_mode=std_mode)  # clips some cells; eps sets the two modes apart
+        adv = gaco.gaco_forward(m, masks, cfg).adv
+        for p in range(3):
+            conf = [1.0 / (1.0 + math.exp(-x / (scale + cfg.eps))) for x in m[p][masks[p]]]
+            if not conf:
+                continue
+            mu = sum(conf) / len(conf)
+            var = sum((c - mu) ** 2 for c in conf) / len(conf)
+            sigma = math.sqrt(var + cfg.eps) if std_mode == "population" else math.sqrt(var) + cfg.eps
+            loop = [min(max((c - mu) / sigma, -cfg.clip), cfg.clip) for c in conf]
+            worst = _worst(worst, float(np.abs(adv[p][masks[p]] - loop).max()))
+    return worst, "masked advantages against a per-cell sigmoid, region statistics and clip"
+
+
+@_register("fusion_block_loop_oracle", "fusion", 1e-12)
+def _fusion_blocks(rng):
+    worst = 0.0
+    for width in (6, 2):  # downsample2x's general branch, then its two-column one
+        m = rng.normal(size=(2, 4, width))
+        down, up = np.empty((2, 2, width // 2)), np.empty((2, 8, 2 * width))
+        for c, i, j in np.ndindex(down.shape):
+            down[c, i, j] = sum(m[c, 2 * i + a, 2 * j + b] for a in (0, 1) for b in (0, 1)) / 4.0
+        for c, i, j in np.ndindex(m.shape):
+            up[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = m[c, i, j]
+        worst = _worst(worst, float(np.abs(fusion.downsample2x(m) - down).max()),
+                       float(np.abs(fusion.upsample2x(m) - up).max()))
+    return worst, "2x2 block means and 2x replication against per-block loops"
+
+
 # ---------------------------------------------------------------- faults
 
 # name -> (group it must fail, edits (function, old, new))
@@ -663,14 +699,17 @@ FAULTS = {
                            (gaco.gaco_backward, "g_z = -(", "g_z = ("))),
     "fusion-max-pool": ("fusion", ((fusion.downsample2x, "return ((a00 + a01) + (a10 + a11)) / 4.0",
                                     "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
-    "eah-map-scaled-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat * (1 + 1e-9))"),)),
-    "eah-map-offset-1e-9": ("eah", ((gradients._head, "(w @ flat)", "(w @ flat + 1e-9)"),)),
+    "fusion-block-a10-twice": ("fusion", ((fusion.downsample2x, "(a10 + a11)", "(a10 + a10)"),)),
+    "eah-map-scaled-1e-9": ("eah", ((gradients._head, "(ws @ flat)", "(ws @ flat * (1 + 1e-9))"),)),
+    "eah-map-offset-1e-9": ("eah", ((gradients._head, "(ws @ flat)", "(ws @ flat + 1e-9)"),)),
     "eah-shift-by-min": ("eah", ((variational.gibbs, "z.max(", "z.min("),)),
     "sem-offset-1e-9": ("sem", ((semantic.infonce_rows, "+ 0.0", "+ 1e-9"),)),
     "sem-topk-ties-high": ("sem", ((semantic.topk_select, "np.argsort(-values, ",
                                     "values.shape[-1] - 1 - np.argsort(-values[..., ::-1], "),)),
     "gaco-clip-top-1.1": ("gaco", ((gaco.advantage, "-clip, clip)", "-clip, 1.1 * clip)"),)),
     "gaco-std-eps-outside": ("gaco", ((gaco.region_stats, "np.sqrt(var + eps)", "np.sqrt(var) + eps"),)),
+    "gaco-conf-sorted": ("gaco", ((gaco.gaco_forward, "conf = confidence(z.ravel().take(cells))",
+                                   "conf = confidence(np.sort(z.ravel().take(cells)))"),)),
     "gibbs-tau-pow-0.999": ("gibbs", ((variational.gibbs_closed_form, "/ prob.tau", "/ prob.tau ** 0.999"),)),
     "mil-score-offset-1e-9": ("mil", ((semantic.pooled_logit, "/ sel.shape[-1]", "/ sel.shape[-1] + 1e-9"),)),
     "fd-scaled-1e-6": ("grad", ((finite_difference_gradient, "grad.reshape(point.shape)",
@@ -681,7 +720,7 @@ FAULTS = {
     "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
                                      "flat[p, sel[0]] = d_logit[p]"),)),
     "fd-moved-scale-base-head": ("grad", ((objective_fd_gradients,
-                                           "eams[s] = _head(x, base.tok_stack, base.valid_stack, cfg.tau_t)[3]",
+                                           "eams[s] = _head([x], base.tok_stack, base.valid_stack, cfg.tau_t)[3][0]",
                                            "pass"),)),
     "gibbs-kl-no-log-n": ("gibbs", ((variational._free_energies, " - log_u)", ")"),)),
     "fixed-no-up-term": ("grad", ((gradients.fixed_features_objective,

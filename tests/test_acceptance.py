@@ -65,9 +65,9 @@ def test_criterion_1_mil_equivalence():
                 if not valid.any():
                     valid[0] = True
                 # under identity tokens the instances' affinity vectors are the head's features
-                _, pi, _, eam = gradients._head(sim.transpose(2, 0, 1), np.eye(l)[None], valid[None],
-                                                float(np.exp(rng.normal() * 0.3)))
-                scores = sim.reshape(-1, l) @ pi[0]
+                _, pi, _, (eam,) = gradients._head([sim.transpose(2, 0, 1)], np.eye(l)[None], valid[None],
+                                                   float(np.exp(rng.normal() * 0.3)))
+                scores = sim.reshape(-1, l) @ pi[0, 0]
                 worst = max(worst, float(np.abs(scores - eam[0].ravel()).max()))
         assert worst <= 1e-12, f"max deviation {worst:.3e}"
 

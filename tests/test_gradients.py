@@ -224,7 +224,7 @@ def all_arrays_fd_gradients(features, tokens, masks, positives, cfg=ObjectiveCon
     x = np.tile(x0, (coords.size * offsets.size, 1))
     x[np.arange(len(x)), np.repeat(coords, offsets.size)] += np.tile(offsets, coords.size)
     *fvs, toks = [part.reshape((-1,) + a.shape) for part, a in zip(np.split(x, splits, axis=1), arrays)]
-    eams = [gradients._head(fv, toks, base.valid_stack, cfg.tau_t)[3] for fv in fvs]
+    eams = gradients._head(fvs, toks, base.valid_stack, cfg.tau_t)[3]
     f = gradients._losses(eams, base.gaco.masks, base.positives, cfg, base.gaco.adv)["total"]
     f = f.reshape(coords.size, len(pairs), 2)
     grad = np.zeros_like(x0)
@@ -452,6 +452,19 @@ class TestNondegeneracyScreen:
         v = np.arange(12.0).reshape(3, 4)
         v[row, 1] = np.nan
         assert np.isnan(gradients._order_gap(v))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_order_gap_keeps_a_nan_at_every_k(self, k):
+        # np.partition puts a NaN last, so at k = 2 this read the real gap 2.0
+        assert np.isnan(gradients._order_gap(np.array([[3.0, np.nan, 1.0, 0.0], [5.0, 4.0, 2.0, 1.0]]), k=k))
+
+    def test_topk_margin_of_a_coarse_map_holding_a_nan(self):
+        features, toks, valid, masks = small_problem(9, prompts=3, h3=16)
+        tr = forward(features, toks, masks, [0], token_valid=valid)
+        dw = tr.dw.copy()
+        dw[1, 0, 1] = np.nan
+        for k in (1, 2):
+            assert np.isnan(nondegeneracy_margins(replace(tr, dw=dw, k=k))["topk"])
 
 
 class TestFusedMaps:

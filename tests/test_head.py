@@ -6,13 +6,15 @@ The forward maps are checked against the per-prompt tensor-form head in
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expalign import fusion, semantic
+from expalign import fusion, gradients, semantic, verify
 from expalign.eah import TokenBatch, alignment_map, token_similarity
 from expalign.gaco import gaco_backward
-from expalign.gradients import ObjectiveConfig, backward, forward, fused_maps
+from expalign.gradients import ObjectiveConfig, backward, coerce_inputs, forward, fused_maps, objective_fd_gradients
+from expalign.synth import SceneSpec, benchmark_spec, generate_scene
 
 TAU_EXTREMES = (1e-6, 1.0, 1e6)
 
@@ -96,3 +98,69 @@ def test_fused_maps_is_the_fusion_of_the_forward_maps():
     dw, up = fused_maps(features, toks, tau_t=0.5, token_valid=valid)
     np.testing.assert_array_equal(dw, fusion.fuse_down(*tr.eams))
     np.testing.assert_array_equal(up, fusion.fuse_up(*tr.eams))
+
+
+def scene_head_inputs(spec):
+    """A synthetic scene's (fvals, tok_stack, valid_stack), as forward coerces them."""
+    scene = generate_scene(spec)
+    return coerce_inputs([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
+                         [t.valid for t in scene.tokens])[:3]
+
+
+def ragged_head_inputs(batch=None):
+    """A problem with ragged prompts and pad tokens; batch names the input that gets a
+    leading axis of 3 perturbed copies, "features" or "tokens"."""
+    features, toks, valid, _, _ = ragged_problem(5, [4, 1, 3], 3, 8)
+    fvals, tok_stack, valid_stack = coerce_inputs(features, toks, valid)[:3]
+    assert (~valid_stack[0]).any() and (~valid_stack[1:]).any()  # a pad token and padding rows
+    rng = np.random.default_rng(6)
+    if batch == "features":
+        fvals = [fv + 1e-3 * rng.normal(size=(3,) + fv.shape) for fv in fvals]
+    elif batch == "tokens":
+        fvals, tok_stack = [fv[None] for fv in fvals], tok_stack + 1e-3 * rng.normal(size=(3,) + tok_stack.shape)
+    return fvals, tok_stack, valid_stack
+
+
+HEAD_INPUTS = {
+    "desk": lambda: scene_head_inputs(benchmark_spec(1)),
+    "wide": lambda: scene_head_inputs(SceneSpec(seed=1, height3=64, width3=64, channels=32, prompts=12,
+                                                tokens=12, n_negatives=3)),
+    "ragged-pads": ragged_head_inputs,
+    "feature-batch": lambda: ragged_head_inputs("features"),
+    "token-batch": lambda: ragged_head_inputs("tokens"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEAD_INPUTS))
+def test_head_on_the_scale_axis_equals_one_call_per_scale_bitwise(case):
+    fvals, tok_stack, valid_stack = HEAD_INPUTS[case]()
+    sbar, pi, w, eams = gradients._head(fvals, tok_stack, valid_stack, 0.7)
+    assert sbar.shape[0] == pi.shape[0] == w.shape[0] == len(eams) == 3
+    for s, fv in enumerate(fvals):
+        for got, want in zip((sbar, pi, w, eams), gradients._head([fv], tok_stack, valid_stack, 0.7)):
+            assert got[s].shape == want[0].shape and got[s].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("fault", ["eah-map-scaled-1e-9", "eah-map-offset-1e-9"])
+def test_planted_head_row_moves_every_caller(monkeypatch, fault):
+    # the eah group checks gradients._head; this pins that the loss, the fused maps and
+    # the finite-difference oracle's feature and token points run that head, not a copy
+    features, toks, valid, masks, positives = ragged_problem(4, [3, 2], 3, 8)
+    args = (features, toks, masks, positives, ObjectiveConfig(), valid)
+    base = forward(*args)
+    monkeypatch.setattr(gradients, "forward", lambda *a, **k: base)  # the oracle's base point stays clean
+
+    def outputs():
+        fd = objective_fd_gradients(*args)
+        return {"forward": forward(*args).eams, "fused_maps": fused_maps(features, toks, 1.0, valid),
+                "fd feature points": fd.d_features, "fd token points": fd.d_tokens}
+
+    (function, old, new), = verify.FAULTS[fault][1]
+    clean, code = outputs(), function.__code__
+    try:
+        function.__code__ = verify._edited_code(function, old, new)
+        planted = outputs()
+    finally:
+        function.__code__ = code
+    for caller in clean:
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(clean[caller], planted[caller])), caller
