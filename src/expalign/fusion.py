@@ -45,7 +45,8 @@ def downsample2x_adjoint(g):
 
 def upsample2x_adjoint(g):
     """Adjoint of upsample2x: sum each 2x2 block (4x the block mean)."""
-    return 4.0 * downsample2x(g)
+    out = downsample2x(g)
+    return np.multiply(out, 4.0, out=out)
 
 
 def check_pyramid(m3, m4, m5):
@@ -61,23 +62,30 @@ def check_pyramid(m3, m4, m5):
     return m3, m4, m5
 
 
+def _average_into(fresh, m):
+    """(fresh + m) / 2, written into fresh, an array the caller just made."""
+    fresh += m
+    fresh /= 2.0
+    return fresh
+
+
 def fuse_down(m3, m4, m5):
     """Coarse unified map: (Down((Down(m3) + m4) / 2) + m5) / 2, at P5 resolution."""
     m3, m4, m5 = check_pyramid(m3, m4, m5)
-    return (downsample2x((downsample2x(m3) + m4) / 2.0) + m5) / 2.0
+    return _average_into(downsample2x(_average_into(downsample2x(m3), m4)), m5)
 
 
 def fuse_up(m3, m4, m5):
     """Fine unified map: (Up((Up(m5) + m4) / 2) + m3) / 2, at P3 resolution."""
     m3, m4, m5 = check_pyramid(m3, m4, m5)
-    return (upsample2x((upsample2x(m5) + m4) / 2.0) + m3) / 2.0
+    return _average_into(upsample2x(_average_into(upsample2x(m5), m4)), m3)
 
 
 def fuse_down_adjoint(g):
     """Backpropagate a P5-shaped gradient through fuse_down; returns (g3, g4, g5)."""
     g5 = np.asarray(g, dtype=np.float64) / 2.0
-    ga = downsample2x_adjoint(g5)  # gradient at the (Down(m3)+m4)/2 node
-    g4 = ga / 2.0
+    g4 = downsample2x_adjoint(g5)  # the gradient at the (Down(m3)+m4)/2 node, halved in place
+    g4 /= 2.0
     g3 = downsample2x_adjoint(g4)
     return g3, g4, g5
 
@@ -85,7 +93,7 @@ def fuse_down_adjoint(g):
 def fuse_up_adjoint(g):
     """Backpropagate a P3-shaped gradient through fuse_up; returns (g3, g4, g5)."""
     g3 = np.asarray(g, dtype=np.float64) / 2.0
-    gb = upsample2x_adjoint(g3)  # gradient at the (Up(m5)+m4)/2 node
-    g4 = gb / 2.0
+    g4 = upsample2x_adjoint(g3)  # the gradient at the (Up(m5)+m4)/2 node, halved in place
+    g4 /= 2.0
     g5 = upsample2x_adjoint(g4)
     return g3, g4, g5

@@ -62,7 +62,7 @@ def log_joint_softmax(m):
     flat = _flat_maps(m)
     # a log form, not variational.gibbs: the loss reads log-probabilities, in the golden report's l_geo bytes
     z = flat - flat.max(axis=-1, keepdims=True)
-    return (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(np.shape(m))
+    return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z).reshape(np.shape(m))
 
 
 def confidence(m):
@@ -178,15 +178,19 @@ def gaco_backward(res, g_loss):
     if res.denom == 0:
         return np.zeros_like(up_map)
     masked_adv = float(res.adv[res.masks].sum())
-    g_z = -(res.adv * res.masks - masked_adv * np.exp(res.log_probs)) / res.denom
+    # -(adv * masks - masked_adv * exp(log_probs)) / denom in the exp buffer, negated last for its signed zeros
+    g_z = np.exp(res.log_probs)
+    g_z *= masked_adv
+    np.negative(np.subtract(res.adv * res.masks, g_z, out=g_z), out=g_z)
+    g_z /= res.denom
     g_z *= g_loss
     if not cfg.normalize:
         return g_z
-    abs_up = np.abs(up_map)
-    d = float(abs_up.max() + cfg.eps)
-    g_up = g_z / d
-    a_star = int(np.argmax(abs_up))
-    sign = 1.0 if up_map.ravel()[a_star] >= 0 else -1.0
+    a_star = int(np.argmax(np.abs(up_map)))  # a NaN cell if any, so d is NaN as the max is
+    d = float(abs(up_map.flat[a_star]) + cfg.eps)
+    sign = 1.0 if up_map.flat[a_star] >= 0 else -1.0
     # divide by d twice: d**2 overflows once d passes about 1e154
-    g_up.ravel()[a_star] -= sign * (float((g_z * up_map).sum()) / d) / d
-    return g_up
+    correction = sign * (float((g_z * up_map).sum()) / d) / d
+    g_z /= d
+    g_z.ravel()[a_star] -= correction
+    return g_z

@@ -167,11 +167,13 @@ def _token_side(fbar, tok_stack, valid_stack, tau_t):
 
 def _head(fvals, tok_stack, valid_stack, tau_t):
     """Rank-C head of every prompt at every scale of fvals, a list of (..., C, Hs, Ws) maps
-    whose leading axes broadcast against the token stack's: _token_side's sbar, pi and w
-    on a leading scale axis, and per scale the map eam = w.F (..., P, Hs, Ws)."""
+    whose leading axes broadcast against the token stack's: _token_side's sbar, pi and w on a
+    leading scale axis, per scale the map eam = w.F (..., P, Hs, Ws), and the channel means fbar."""
     flats = [fv.reshape(fv.shape[:-2] + (-1,)) for fv in fvals]        # (..., C, Hs*Ws)
-    sbar, pi, w = _token_side(_channel_means(flats), tok_stack, valid_stack, tau_t)
-    return sbar, pi, w, [(ws @ flat).reshape(ws.shape[:-1] + fv.shape[-2:]) for ws, flat, fv in zip(w, flats, fvals)]
+    fbar = _channel_means(flats)
+    sbar, pi, w = _token_side(fbar, tok_stack, valid_stack, tau_t)
+    maps = [(ws @ flat).reshape(ws.shape[:-1] + fv.shape[-2:]) for ws, flat, fv in zip(w, flats, fvals)]
+    return sbar, pi, w, maps, fbar
 
 
 @dataclass
@@ -182,6 +184,7 @@ class Trace:
     tok_stack: np.ndarray    # (P, Lmax, C)
     valid_stack: np.ndarray  # (P, Lmax)
     lengths: list
+    fbars: np.ndarray  # (3, C), each scale's channel means
     sbars: np.ndarray  # (3, P, Lmax), the spatially averaged similarity
     pis: np.ndarray    # (3, P, Lmax)
     ws: np.ndarray     # (3, P, C), the posterior-weighted token
@@ -202,8 +205,8 @@ def forward(features, tokens, masks, positives, cfg=ObjectiveConfig(),
     """Full forward pass; frozen_adv substitutes the advantage tensor."""
     fvals, tok_stack, valid_stack, lengths = coerce_inputs(features, tokens, token_valid)
     masks, pos = _targets(masks, positives, tok_stack.shape[:1] + fvals[0].shape[1:])
-    sbars, pis, ws, eams = _head(fvals, tok_stack, valid_stack, cfg.tau_t)
-    return Trace(fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths,
+    sbars, pis, ws, eams, fbars = _head(fvals, tok_stack, valid_stack, cfg.tau_t)
+    return Trace(fvals=fvals, tok_stack=tok_stack, valid_stack=valid_stack, lengths=lengths, fbars=fbars,
                  sbars=sbars, pis=pis, ws=ws, eams=eams, positives=pos, cfg=cfg,
                  **_losses(eams, masks, pos, cfg, frozen_adv))
 
@@ -251,10 +254,10 @@ def backward(tr):
     cfg = tr.cfg
     g_dw, g_up = _map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, cfg)
     flats = [fv.reshape(len(fv), -1) for fv in tr.fvals]                              # (C, n) per scale
-    gs = [(gd + gu).reshape(len(tr.tok_stack), -1)                                    # (P, n) per scale
+    gs = [np.add(gd, gu, out=gd).reshape(len(tr.tok_stack), -1)  # (P, n) per scale, in the down adjoint's array
           for gd, gu in zip(fusion.fuse_down_adjoint(g_dw), fusion.fuse_up_adjoint(g_up))]
     # big_g = sum_xy g.F (3, P, C) is the gradient at w, through eam = w.F: one chain rule for every scale
-    d_sbar, d_tok_stack = _token_chain(tr.tok_stack, tr.pis, _channel_means(flats),
+    d_sbar, d_tok_stack = _token_chain(tr.tok_stack, tr.pis, tr.fbars,
                                        np.stack([g @ flat.T for g, flat in zip(gs, flats)]), cfg.tau_t)
     d_features = []
     for fv, flat, g, w, ds in zip(tr.fvals, flats, gs, tr.ws, d_sbar):
@@ -447,7 +450,7 @@ def nondegeneracy_margins(tr):
             continue
         mu, sigma = st
         zpre = (tr.gaco.conf[start:stop] - mu) / sigma
-        clip_margin = min(clip_margin, float(np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
+        clip_margin = float(np.minimum(clip_margin, np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
     margins["clip"] = clip_margin
 
     margins["token_argmax"] = _order_gap(np.where(tr.valid_stack, tr.sbars, -np.inf))  # pads rank last

@@ -125,7 +125,7 @@ def _draw_head_inputs(rng, h, w, l, c=4):
 
 def _prompt_head(features, tokens, valid, tau_t=1.0):
     """gradients._head on one prompt at one scale: its posterior (L,) and its map (H, W)."""
-    _, pi, _, (eam,) = gradients._head([features], tokens[None], valid[None], tau_t)
+    _, pi, _, (eam,), _ = gradients._head([features], tokens[None], valid[None], tau_t)
     return pi[0, 0], eam[0]
 
 
@@ -368,8 +368,8 @@ def _gibbs_numeric(rng):
         prob = _random_problem(rng)
         closed = variational.gibbs_closed_form(prob)
         res = variational.minimize_free_energy_numeric(prob, max_iters=500, tol=1e-14)
-        worst = _worst(worst, variational.kl_divergence(res.q, closed))
-    return worst, "KL(numeric || closed) at convergence"
+        worst = _worst(worst, abs(variational.kl_divergence(res.q, closed)))  # a wrong KL can go negative
+    return worst, "|KL(numeric || closed)| at convergence"
 
 
 @_register("gibbs_optimality", "gibbs", 1e-12)
@@ -691,12 +691,21 @@ def _fusion_blocks(rng):
     return worst, "2x2 block means and 2x replication against per-block loops"
 
 
+@_register("fused_maps_matches_forward", "fusion", 0.0)
+def _fused_maps_forward(rng):
+    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
+    tokens = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))]
+    tr = forward(features, tokens, rng.random(size=(2, 8, 8)) < 0.3, [0], ObjectiveConfig(tau_t=0.6))
+    pairs = zip(gradients.fused_maps(features, tokens, tau_t=0.6), (tr.dw, tr.gaco.up_map))
+    return _worst(*(float(np.abs(a - b).max()) for a, b in pairs)), "fused_maps against forward's dw and up_map"
+
+
 # ---------------------------------------------------------------- faults
 
 # name -> (group it must fail, edits (function, old, new))
 FAULTS = {
     "gaco-sign": ("gaco", ((gaco.gaco_forward, "loss = -(", "loss = ("),
-                           (gaco.gaco_backward, "g_z = -(", "g_z = ("))),
+                           (gaco.gaco_backward, "np.negative(", "np.positive("))),
     "fusion-max-pool": ("fusion", ((fusion.downsample2x, "return ((a00 + a01) + (a10 + a11)) / 4.0",
                                     "return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))"),)),
     "fusion-block-a10-twice": ("fusion", ((fusion.downsample2x, "(a10 + a11)", "(a10 + a10)"),)),
@@ -722,6 +731,7 @@ FAULTS = {
     "fd-moved-scale-base-head": ("grad", ((objective_fd_gradients,
                                            "eams[s] = _head([x], base.tok_stack, base.valid_stack, cfg.tau_t)[3][0]",
                                            "pass"),)),
+    "gibbs-kl-plus-log-r": ("gibbs", ((variational.kl_divergence, ") - np.log(", ") + np.log("),)),
     "gibbs-kl-no-log-n": ("gibbs", ((variational._free_energies, " - log_u)", ")"),)),
     "fixed-no-up-term": ("grad", ((gradients.fixed_features_objective,
                                    " + g_up.reshape(n_prompts, -1) @ fixed.up.T", ""),)),

@@ -217,3 +217,26 @@ class TestStridedKernelsBitwise:
         for g in fuzz_arrays(10, [(4 * (1 + i % 16), 4 * (1 + (7 * i) % 16)) for i in range(48)]):
             for got, ref in zip(fuse_up_adjoint(g), fuse_up_adjoint_reference(g)):
                 assert same_bits(got, ref), g.shape
+
+    def test_broadcast_stacks_bitwise_and_inputs_untouched(self):
+        # the fusions and adjoints write into arrays they made; the references above are the
+        # one-expression forms they replaced. The finite-difference oracle fuses a batch in
+        # which one scale moves and the other two are read-only broadcast views of one image.
+        rng = np.random.default_rng(11)
+        for w3 in (4, 8, 12):  # w3 = 4 and 8 take downsample2x's two-column branch at P4 or P5
+            base = random_pyramid(rng, prompts=3, h3=8, w3=w3)
+            for s in range(3):
+                pyramid = [np.broadcast_to(m, (2,) + m.shape) for m in base]
+                pyramid[s] = base[s] + rng.normal(size=(2,) + base[s].shape)
+                before = [m.copy() for m in pyramid]
+                assert same_bits(fuse_down(*pyramid), fuse_down_reference(*pyramid)), (w3, s)
+                assert same_bits(fuse_up(*pyramid), fuse_up_reference(*pyramid)), (w3, s)
+                assert all(same_bits(m, b) for m, b in zip(pyramid, before))
+            adjoints = ((rng.normal(size=(2, 3, 2, w3 // 4)), fuse_down_adjoint, fuse_down_adjoint_reference),
+                        (rng.normal(size=(2, 3, 8, w3)), fuse_up_adjoint, fuse_up_adjoint_reference))
+            for g, adjoint, reference in adjoints:
+                before = g.copy()
+                for got, ref in zip(adjoint(g), reference(g)):
+                    assert same_bits(got, ref), (w3, g.shape)
+                assert same_bits(g, before)
+            assert same_bits(upsample2x_adjoint(g), 4.0 * down_reference(g)) and same_bits(g, before)

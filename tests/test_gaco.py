@@ -324,3 +324,72 @@ class TestGacoBackward:
         g = gaco_backward(res, self.G_LOSS)
         assert res.loss == 0.0
         assert g.shape == m.shape and not g.any()
+
+    def test_frozen_stack_with_no_masked_cell_has_zero_losses(self):
+        rng = np.random.default_rng(24)
+        masks = np.zeros((3, 4, 4), bool)
+        res = gaco_forward(rng.normal(size=(2, 3, 4, 4)), masks, GacoConfig(), frozen_adv=rng.normal(size=(3, 4, 4)))
+        assert res.denom == 0 and res.loss.shape == (2,) and not res.loss.any()
+
+
+def log_joint_softmax_expression(m):
+    """log_joint_softmax in the one-expression form its in-place subtraction replaced."""
+    flat = np.asarray(m, dtype=np.float64).reshape(np.shape(m)[:-3] + (-1,))
+    z = flat - flat.max(axis=-1, keepdims=True)
+    return (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(np.shape(m))
+
+
+def gaco_backward_expression(res, g_loss):
+    """gaco_backward in the form with a fresh array per step, which the in-place form replaced."""
+    up_map, cfg = res.up_map, res.cfg
+    if res.denom == 0:
+        return np.zeros_like(up_map)
+    masked_adv = float(res.adv[res.masks].sum())
+    g_z = -(res.adv * res.masks - masked_adv * np.exp(res.log_probs)) / res.denom
+    g_z *= g_loss
+    if not cfg.normalize:
+        return g_z
+    abs_up = np.abs(up_map)
+    d = float(abs_up.max() + cfg.eps)
+    g_up = g_z / d
+    a_star = int(np.argmax(abs_up))
+    sign = 1.0 if up_map.ravel()[a_star] >= 0 else -1.0
+    g_up.ravel()[a_star] -= sign * (float((g_z * up_map).sum()) / d) / d
+    return g_up
+
+
+class TestInPlaceChainBitwise:
+    """log_joint_softmax and gaco_backward write into arrays they made: the forms they
+    replaced, bit for bit, with every input left as it was."""
+
+    @staticmethod
+    def cases(rng):
+        for w in (2, 6):  # two-column maps, then wider ones
+            for scale in (1e-3, 1.0, 1e3):
+                m = rng.normal(size=(3, 4, w)) * scale
+                masks = rng.random(size=m.shape) < 0.5
+                masks[1] = False
+                masks.ravel()[np.flatnonzero(masks)[:masks.sum() % 2]] = False  # an even masked count
+                yield m, masks, None
+                # a frozen advantage, nonzero off the masks, whose masked sum is exactly 0
+                frozen = rng.normal(size=m.shape)
+                frozen[masks] = rng.permutation(np.resize([1.0, -1.0, 0.5, -0.5], masks.sum()))
+                assert frozen[masks].sum() == 0.0
+                yield m, masks, frozen
+                # batches as the finite-difference oracle passes them: a moved copy, a read-only view
+                yield np.stack([m, m + rng.normal(size=m.shape)]), masks, frozen
+                yield np.broadcast_to(m, (2,) + m.shape), masks, frozen
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_the_expression_forms(self, normalize):
+        rng = np.random.default_rng(41)
+        cfg = GacoConfig(normalize=normalize)
+        for m, masks, frozen in self.cases(rng):
+            z = normalize_sim(m, cfg.eps) if normalize else m
+            before = m.copy()
+            assert same_bits(log_joint_softmax(z), log_joint_softmax_expression(z)) and same_bits(m, before)
+            res = gaco_forward(m, masks, cfg, frozen_adv=frozen)
+            inputs = (res.up_map, res.log_probs, res.adv, res.masks)
+            copies = [a.copy() for a in inputs]
+            assert same_bits(gaco_backward(res, 1.7), gaco_backward_expression(res, 1.7)), (m.shape, frozen is None)
+            assert all(same_bits(a, b) for a, b in zip(inputs, copies))

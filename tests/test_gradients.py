@@ -76,6 +76,16 @@ class TestObjective:
         assert abs(val.total - (-0.5 * math.log(3.0))) <= 1e-5
         assert val.l_sem == 0.0  # single prompt
 
+    @pytest.mark.parametrize("h3,w3,ratio,cells", [(8, 8, 0.2, 4), (8, 16, 0.1, 8)])
+    def test_topk_budget_clamps_at_the_coarse_cell_count(self, h3, w3, ratio, cells):
+        # floor(h3 * w3 * ratio) passes the coarse cell count, so the pooled logit is the map's mean
+        rng = np.random.default_rng(12)
+        features = [rng.normal(size=(3, h3 // f, w3 // f)) for f in (1, 2, 4)]
+        toks = [rng.normal(size=(4, 3)) for _ in range(3)]
+        tr = forward(features, toks, rng.random(size=(3, h3, w3)) < 0.3, [0], ObjectiveConfig(topk_ratio=ratio))
+        assert tr.k == cells == tr.dw[0].size
+        assert np.array_equal(tr.logits, tr.dw.reshape(3, -1).mean(axis=-1))
+
     def test_shape_validation(self):
         features, toks, valid, masks = small_problem(2)
         with pytest.raises(DimensionError):
@@ -457,6 +467,13 @@ class TestNondegeneracyScreen:
     def test_order_gap_keeps_a_nan_at_every_k(self, k):
         # np.partition puts a NaN last, so at k = 2 this read the real gap 2.0
         assert np.isnan(gradients._order_gap(np.array([[3.0, np.nan, 1.0, 0.0], [5.0, 4.0, 2.0, 1.0]]), k=k))
+
+    def test_clip_margin_keeps_a_nan_region(self):
+        # Python's min(margin, nan) keeps the margin: with the NaN region dropped this read 1.372
+        case = find_gradcheck_cases(1, base_seed=4000)[0]
+        tr = forward(case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
+        tr.gaco.conf[0] = np.nan
+        assert np.isnan(nondegeneracy_margins(tr)["clip"])
 
     def test_topk_margin_of_a_coarse_map_holding_a_nan(self):
         features, toks, valid, masks = small_problem(9, prompts=3, h3=16)

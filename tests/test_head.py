@@ -134,10 +134,10 @@ HEAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(HEAD_INPUTS))
 def test_head_on_the_scale_axis_equals_one_call_per_scale_bitwise(case):
     fvals, tok_stack, valid_stack = HEAD_INPUTS[case]()
-    sbar, pi, w, eams = gradients._head(fvals, tok_stack, valid_stack, 0.7)
-    assert sbar.shape[0] == pi.shape[0] == w.shape[0] == len(eams) == 3
+    sbar, pi, w, eams, fbar = gradients._head(fvals, tok_stack, valid_stack, 0.7)
+    assert sbar.shape[0] == pi.shape[0] == w.shape[0] == len(eams) == fbar.shape[0] == 3
     for s, fv in enumerate(fvals):
-        for got, want in zip((sbar, pi, w, eams), gradients._head([fv], tok_stack, valid_stack, 0.7)):
+        for got, want in zip((sbar, pi, w, eams, fbar), gradients._head([fv], tok_stack, valid_stack, 0.7)):
             assert got[s].shape == want[0].shape and got[s].tobytes() == want[0].tobytes()
 
 
