@@ -210,8 +210,9 @@ def _load_scene(args, settings):
 
 def cmd_loss(args, settings, cfg):
     scene, source = _load_scene(args, settings)
-    val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
-                    scene.masks, scene.positives, cfg, [t.valid for t in scene.tokens])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is reported below
+        val = objective([f.values for f in scene.features], [t.embeddings for t in scene.tokens],
+                        scene.masks, scene.positives, cfg, [t.valid for t in scene.tokens])
     terms = {"l_sem": val.l_sem, "l_geo": val.gaco.loss, "total": val.total}
     bad = [name for name, value in terms.items() if not np.isfinite(value)]
     if bad:
@@ -252,8 +253,9 @@ def cmd_suite(args, settings, cfg):
 
 
 def cmd_demo(args, settings, cfg):
-    bench = synth.run_benchmark(settings["seeds"], settings["steps"], settings["lr"],
-                                settings["signal"], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run is reported as such
+        bench = synth.run_benchmark(settings["seeds"], settings["steps"], settings["lr"],
+                                    settings["signal"], cfg)
     report = {
         "config": config_echo(settings),
         "seeds": bench["seeds"],

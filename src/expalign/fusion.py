@@ -51,7 +51,7 @@ def upsample2x_adjoint(g):
 
 def check_pyramid(m3, m4, m5):
     """Validate the scale relation H3 = 2*H4 = 4*H5 (same for widths, same leading dims)."""
-    m3, m4, m5 = (np.asarray(m, dtype=np.float64) for m in (m3, m4, m5))
+    m3, m4, m5 = np.asarray(m3, dtype=np.float64), np.asarray(m4, dtype=np.float64), np.asarray(m5, dtype=np.float64)
     if m3.shape[:-2] != m4.shape[:-2] or m3.shape[:-2] != m5.shape[:-2]:
         raise DimensionError(f"pyramid leading dims differ: {m3.shape}, {m4.shape}, {m5.shape}")
     h3, w3 = m3.shape[-2:]

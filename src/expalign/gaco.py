@@ -69,7 +69,7 @@ def confidence(m):
     """Bounded local alignment confidence: elementwise logistic sigmoid."""
     m = np.asarray(m, dtype=np.float64)
     e = np.exp(-np.abs(m))  # exp(-m) where m >= 0, exp(m) below: never overflows
-    return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(m >= 0, 1.0, e) / (1.0 + e)
 
 
 def region_stats(vals, eps=1e-6, std_mode="population"):
@@ -116,17 +116,17 @@ class GacoResult:
 def mask_segments(masks):
     """Flat indices of the masked cells of a (P, H, W) mask, prompt-major as z[masks]
     orders them, and each prompt's (start, stop) segment of those indices."""
-    cells = np.flatnonzero(masks)
+    cells = masks.ravel().nonzero()[0]  # np.flatnonzero and np.searchsorted, as array methods
     width = masks.shape[1] * masks.shape[2]
-    stops = np.searchsorted(cells, width * np.arange(1, masks.shape[0] + 1)).tolist()
+    stops = cells.searchsorted(width * np.arange(1, masks.shape[0] + 1)).tolist()
     return cells, list(zip([0] + stops[:-1], stops))
 
 
 def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     """Run the full chain on a (P, H3, W3) fine fused map.
 
-    The confidence and the advantage are computed on the masked cells only,
-    prompt by prompt over each one's segment of z[masks]. frozen_adv
+    The confidence and the advantage are computed on the masked cells only, one call
+    each, with one region_stats call per nonempty prompt segment of z[masks]. frozen_adv
     substitutes a precomputed advantage tensor, which is how the
     finite-difference oracle honors the stop-gradient on the advantage.
     With frozen_adv, up_map may be a (..., P, H3, W3) stack of maps sharing
@@ -152,15 +152,15 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
         stats = (None,) * masks.shape[0]
     else:
         conf = confidence(z.ravel().take(cells))
-        masked_adv = np.empty_like(conf)
+        cell_mu, cell_sigma = np.empty((2, conf.size))  # each masked cell's region statistics
         stats = []
         for start, stop in segments:
             if start == stop:
                 stats.append(None)  # empty region contributes nothing
                 continue
-            mu, sigma = region_stats(conf[start:stop], cfg.eps, cfg.std_mode)
-            stats.append((mu, sigma))
-            masked_adv[start:stop] = advantage(conf[start:stop], mu, sigma, cfg.clip)
+            stats.append(region_stats(conf[start:stop], cfg.eps, cfg.std_mode))
+            cell_mu[start:stop], cell_sigma[start:stop] = stats[-1]
+        masked_adv = advantage(conf, cell_mu, cell_sigma, cfg.clip)
         adv = np.zeros(up_map.shape)
         adv.ravel()[cells] = masked_adv
 
@@ -186,7 +186,7 @@ def gaco_backward(res, g_loss):
     g_z *= g_loss
     if not cfg.normalize:
         return g_z
-    a_star = int(np.argmax(np.abs(up_map)))  # a NaN cell if any, so d is NaN as the max is
+    a_star = int(np.abs(up_map).argmax())  # a NaN cell if any, so d is NaN as the max is
     d = float(abs(up_map.flat[a_star]) + cfg.eps)
     sign = 1.0 if up_map.flat[a_star] >= 0 else -1.0
     # divide by d twice: d**2 overflows once d passes about 1e154

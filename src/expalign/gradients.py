@@ -87,7 +87,7 @@ def coerce_features(features):
     if len(features) != 3:
         raise DimensionError(f"expected 3 feature maps (scales 3, 4, 5), got {len(features)}")
     fvals = [np.asarray(f, dtype=np.float64) for f in features]
-    if not all(np.isfinite(fv).all() for fv in fvals):
+    if not all([np.isfinite(fv).all() for fv in fvals]):  # a list: a generator costs a frame per map
         raise DomainError("feature values must be finite")
     for s, fv in enumerate(fvals):
         if fv.ndim != 3:
@@ -144,7 +144,7 @@ def _targets(masks, positives, shape):
     masks = np.asarray(masks, dtype=bool)
     if masks.shape != shape:
         raise DimensionError(f"masks must be {shape}, got {masks.shape}")
-    return masks, tuple(sorted(set(int(p) for p in positives)))
+    return masks, tuple(sorted({int(p) for p in positives}))
 
 
 def _masked_posteriors(sbar, valid, tau_t):
@@ -153,8 +153,8 @@ def _masked_posteriors(sbar, valid, tau_t):
 
 
 def _channel_means(flats):
-    """The (..., C) channel means of each (..., C, n) flattened map, stacked on a leading scale axis."""
-    return np.stack([flat.sum(axis=-1) / flat.shape[-1] for flat in flats])  # as np.mean but cheaper per call
+    """The (..., C) channel means of each (..., C, n) flattened map, as np.mean gives them, on a leading scale axis."""
+    return np.array([flat.sum(axis=-1) / flat.shape[-1] for flat in flats])  # np.stack's work, without its wrapper
 
 
 def _token_side(fbar, tok_stack, valid_stack, tau_t):
@@ -251,18 +251,18 @@ class GradientBundle:
 
 def backward(tr):
     """Reverse pass over a Trace, under its forward's config; gradients w.r.t. features and tokens."""
-    cfg = tr.cfg
-    g_dw, g_up = _map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, cfg)
+    g_dw, g_up = _map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, tr.cfg)
     flats = [fv.reshape(len(fv), -1) for fv in tr.fvals]                              # (C, n) per scale
     gs = [np.add(gd, gu, out=gd).reshape(len(tr.tok_stack), -1)  # (P, n) per scale, in the down adjoint's array
           for gd, gu in zip(fusion.fuse_down_adjoint(g_dw), fusion.fuse_up_adjoint(g_up))]
     # big_g = sum_xy g.F (3, P, C) is the gradient at w, through eam = w.F: one chain rule for every scale
     d_sbar, d_tok_stack = _token_chain(tr.tok_stack, tr.pis, tr.fbars,
-                                       np.stack([g @ flat.T for g, flat in zip(gs, flats)]), cfg.tau_t)
+                                       np.array([g @ flat.T for g, flat in zip(gs, flats)]), tr.cfg.tau_t)
+    d_fbars = np.einsum("spl,plc->sc", d_sbar, tr.tok_stack)            # (3, C), through sbar = T.fbar
     d_features = []
-    for fv, flat, g, w, ds in zip(tr.fvals, flats, gs, tr.ws, d_sbar):
+    for fv, flat, g, w, d_fbar in zip(tr.fvals, flats, gs, tr.ws, d_fbars):
         d_flat = w.T @ g                                                 # (C, n); d fbar / n goes in in place
-        d_flat += np.einsum("pl,plc->c", ds, tr.tok_stack)[:, None] / flat.shape[1]
+        d_flat += d_fbar[:, None] / flat.shape[1]
         d_features.append(d_flat.reshape(fv.shape))
     return GradientBundle(d_features=d_features, d_tokens=[d_tok_stack[p, :l] for p, l in enumerate(tr.lengths)],
                           l_sem=tr.l_sem, l_geo=tr.gaco.loss, total=tr.total)

@@ -32,9 +32,9 @@ def topk_select(m, k):
     values = _flat_maps(m)
     if not 1 <= k <= values.shape[-1]:
         raise DomainError(f"k={k} outside [1, {values.shape[-1]}]")
-    # stable sort on negated values: equal entries stay in index order
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    top = np.argsort(-values, axis=-1, kind="stable")[..., :k].copy()  # stable: ties keep index order
+    top.sort(axis=-1)  # np.sort's copy and sort, as array methods
+    return top
 
 
 def pooled_logit(m, sel):
@@ -68,7 +68,7 @@ def infonce_multi_positive(logits, positives, tau=0.25):
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise DimensionError(f"logits must be a vector, got shape {logits.shape}")
-    positives = np.asarray(sorted(set(int(p) for p in positives)), dtype=np.intp)
+    positives = np.asarray(sorted({int(p) for p in positives}), dtype=np.intp)
     if positives.size == 0:
         raise DomainError("positives must be nonempty")
     if positives.min() < 0 or positives.max() >= logits.size:
@@ -95,7 +95,7 @@ def infonce_rows(logits, positives, tau):
 def pooled_infonce_backward(logits, selections, positives, shape, tau, g_loss):
     """Gradient of g_loss * infonce_multi_positive(logits) with respect to the (P, H, W) coarse
     maps; top-k sets are locally constant, so each logit's gradient spreads evenly over its set."""
-    positives = sorted(set(int(p) for p in positives))
+    positives = sorted({int(p) for p in positives})
     q = gibbs(logits / tau)
     y = np.zeros(len(logits))
     y[positives] = 1.0

@@ -129,20 +129,19 @@ def generate_scene(spec):
     directions[:n_pos] = basis.T
 
     masks = np.zeros((p, h3, w3), dtype=bool)
-    weights = np.zeros((p, h3, w3))
-    for i, (top, left, h, w) in enumerate(_auto_rects(rng, spec)):
+    rects = _auto_rects(rng, spec)
+    for i, (top, left, h, w) in enumerate(rects):
         masks[i, top:top + h, left:left + w] = True
-        weights[i, top:top + h, left:left + w] = region_profile(h, w)
 
+    profiles = [None] * n_pos  # each region's profile at the scale being planted
     features = []
     for factor in (1, 2, 4):
-        hs, ws = h3 // factor, w3 // factor
-        values = rng.standard_normal((c, hs, ws)) * FEATURE_NOISE
-        for i in range(n_pos):
-            w_s = weights[i]
-            while w_s.shape[0] > hs:
-                w_s = downsample2x(w_s)
-            values += spec.signal * directions[i][:, None, None] * w_s[None, :, :]
+        values = rng.standard_normal((c, h3 // factor, w3 // factor))
+        values *= FEATURE_NOISE
+        for i, (top, left, h, w) in enumerate(rects):  # zero signal outside the region, a rectangle at every scale
+            profiles[i] = downsample2x(profiles[i]) if factor > 1 else region_profile(h, w)
+            values[:, top // factor:(top + h) // factor, left // factor:(left + w) // factor] += (
+                spec.signal * directions[i][:, None, None] * profiles[i][None, :, :])
         features.append(FeatureMap(values))
 
     span = directions[:n_pos]  # orthonormal rows

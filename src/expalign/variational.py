@@ -81,13 +81,12 @@ def _free_energies(q, e_eff, tau, log_u):
     return q @ e_eff + tau * (q * (np.log(np.where(pos, q, 1.0)) - log_u)).sum(axis=-1, where=pos)
 
 
-def free_energy(q, prob, validate=True):
+def free_energy(q, prob):
     """F[q] = <q, E - lam*A> + tau * KL(q || uniform).
 
     An array of prob.size entries, of any shape, is one point and gives a float; a
     (K, prob.size) stack gives the K values of its rows, each row checked on the
-    simplex. With validate=False the same expression is evaluated for any positive
-    point or stack, which is what the finite-difference gradient comparison needs.
+    simplex. _free_energies evaluates the same expression at any positive point.
     """
     qf = np.asarray(q, dtype=np.float64)
     if qf.size == prob.size:
@@ -95,8 +94,7 @@ def free_energy(q, prob, validate=True):
     elif qf.ndim != 2 or qf.shape[1] != prob.size or qf.shape[0] == 0:
         raise DimensionError(f"mass must be {prob.size} entries or a (K, {prob.size}) stack, "
                              f"got shape {qf.shape}")
-    if validate:
-        qf = _check_simplex(qf)
+    qf = _check_simplex(qf)
     values = _free_energies(qf, prob.effective_energy(), prob.tau, np.log(1.0 / prob.size))
     return float(values) if qf.ndim == 1 else values
 

@@ -132,7 +132,13 @@ class TestLossCommand:
         res = run_cli(["loss", "--seed", "3", "--tau", "1e-308", "--tau-t", "1e-308", "--json"],
                       cwd=tmp_path)
         assert res.returncode == 2, res.stderr
-        assert "error: non-finite loss terms: l_sem, total" in res.stderr and res.stdout == ""
+        assert res.stderr == "error: non-finite loss terms: l_sem, total\n" and res.stdout == ""
+
+    def test_overflowed_posterior_named_without_numpy_warnings(self, tmp_path):
+        # 1e-320 is a subnormal temperature: the posterior's logits overflow and every term is NaN
+        res = run_cli(["loss", "--seed", "3", "--tau-t", "1e-320"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: non-finite loss terms: l_sem, l_geo, total\n" and res.stdout == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_signal_named(self, tmp_path, value):
@@ -277,7 +283,7 @@ class TestDemoCommand:
         # at a temperature of 1e-308 the first step's l_sem and total are NaN
         res = run_cli(["demo", "--seeds", "1", "--steps", "3", "--tau", "1e-308",
                        "--tau-t", "1e-308", "--json"], cwd=tmp_path)
-        assert res.returncode == 0, res.stderr
+        assert res.returncode == 0 and res.stderr == "", res.stderr
 
         def reject(constant):
             raise AssertionError(f"{constant} in the demo report")

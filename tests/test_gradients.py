@@ -537,6 +537,23 @@ def per_scale_step(fixed, tok_stack, valid_stack, masks, positives, cfg):
     return out, sum(chains)
 
 
+def per_scale_backward(tr):
+    """backward with its feature gradients through the channel means taken scale by
+    scale, one einsum each, and the gradients at w stacked by np.stack."""
+    g_dw, g_up = gradients._map_gradients(tr.logits, tr.selections, tr.positives, tr.dw.shape, tr.gaco, tr.cfg)
+    flats = [fv.reshape(len(fv), -1) for fv in tr.fvals]
+    gs = [np.add(gd, gu, out=gd).reshape(len(tr.tok_stack), -1)
+          for gd, gu in zip(fusion.fuse_down_adjoint(g_dw), fusion.fuse_up_adjoint(g_up))]
+    d_sbar, d_tok_stack = gradients._token_chain(tr.tok_stack, tr.pis, tr.fbars,
+                                                 np.stack([g @ flat.T for g, flat in zip(gs, flats)]), tr.cfg.tau_t)
+    d_features = []
+    for fv, flat, g, w, ds in zip(tr.fvals, flats, gs, tr.ws, d_sbar):
+        d_flat = w.T @ g
+        d_flat += np.einsum("pl,plc->c", ds, tr.tok_stack)[:, None] / flat.shape[1]
+        d_features.append(d_flat.reshape(fv.shape))
+    return d_features, [d_tok_stack[p, :n] for p, n in enumerate(tr.lengths)]
+
+
 def scale_error(got, want):
     """max |got - want| over max |want|; exact equality when want is all zero."""
     if not want.any():
@@ -644,3 +661,18 @@ class TestFixedFeatures:
                  (np.array([step.l_sem, step.l_geo, step.total]),
                   np.array([out["l_sem"], out["gaco"].loss, out["total"]])))
         assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+
+
+class TestBackwardBitwise:
+    @pytest.mark.parametrize("args", [
+        lambda: scene_args(benchmark_spec(1), benchmark_config()),
+        lambda: scene_args(WIDE, benchmark_config()),
+        lambda: ragged_problem() + ([0], ObjectiveConfig(), None),
+        lambda: small_args(3, ObjectiveConfig(tau_t=0.5)),
+    ], ids=["desk", "wide", "ragged", "pad-tokens"])
+    def test_scale_axis_matches_the_per_scale_loop_bitwise(self, args):
+        tr = forward(*args())
+        bundle = backward(tr)
+        d_features, d_tokens = per_scale_backward(tr)
+        got, want = bundle.d_features + bundle.d_tokens, d_features + d_tokens
+        assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want]

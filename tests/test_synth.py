@@ -1,11 +1,19 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from expalign.errors import DimensionError, DomainError
+from expalign.fusion import downsample2x
 from expalign.gradients import ObjectiveConfig
 from expalign.synth import (
+    BENCHMARK_SEEDS,
     FEATURE_NOISE,
+    TOKEN_NOISE,
+    TOKEN_SIGNAL,
     SceneSpec,
+    _auto_rects,
     benchmark_spec,
     demo_train,
     generate_scene,
@@ -91,6 +99,60 @@ class TestGenerateScene:
         assert w.max() == w[3, 3] or w.max() == w[4, 4]
         assert w[0, 0] == w.min()
         assert abs(w.mean() - 1.0) < 0.35
+
+
+def dense_scene_arrays(spec):
+    """generate_scene's arrays as a dense form makes them: each positive's profile on a
+    full-grid weight map, pooled to every scale, its signal added at every cell."""
+    rng = np.random.default_rng(spec.seed)
+    p, l, c = spec.prompts, spec.tokens, spec.channels
+    h3, w3 = spec.height3, spec.width3
+    n_pos = spec.n_positives
+    basis, _ = np.linalg.qr(rng.standard_normal((c, n_pos)))
+    directions = np.zeros((p, c))
+    directions[:n_pos] = basis.T
+    masks = np.zeros((p, h3, w3), dtype=bool)
+    weights = np.zeros((p, h3, w3))
+    for i, (top, left, h, w) in enumerate(_auto_rects(rng, spec)):
+        masks[i, top:top + h, left:left + w] = True
+        weights[i, top:top + h, left:left + w] = region_profile(h, w)
+    features = []
+    for factor in (1, 2, 4):
+        hs, ws = h3 // factor, w3 // factor
+        values = rng.standard_normal((c, hs, ws)) * FEATURE_NOISE
+        for i in range(n_pos):
+            w_s = weights[i]
+            while w_s.shape[0] > hs:
+                w_s = downsample2x(w_s)
+            values += spec.signal * directions[i][:, None, None] * w_s[None, :, :]
+        features.append(values)
+    span = directions[:n_pos]
+    tokens = []
+    for i in range(p):
+        emb = rng.standard_normal((l, c)) * (TOKEN_NOISE / math.sqrt(c))
+        emb = emb - (emb @ span.T) @ span
+        if i < n_pos:
+            emb = emb + TOKEN_SIGNAL * directions[i][None, :]
+        tokens.append(emb)
+    return features + tokens + [masks, directions]
+
+
+class TestPlantedSignal:
+    @pytest.mark.parametrize("spec", [
+        lambda s: benchmark_spec(s),
+        lambda s: replace(benchmark_spec(s), height3=64, width3=64, channels=32, prompts=12, tokens=12,
+                          n_negatives=3),
+        lambda s: benchmark_spec(s, signal=0.0),
+        lambda s: benchmark_spec(s, signal=5.0),
+        lambda s: SceneSpec(seed=s, height3=32, width3=48, prompts=6),
+    ], ids=["desk", "train-wide", "signal-0", "signal-5", "32x48-six-prompts"])
+    def test_matches_the_dense_form_bitwise(self, spec):
+        for seed in BENCHMARK_SEEDS:
+            scene = generate_scene(spec(seed))
+            got = ([f.values for f in scene.features] + [t.embeddings for t in scene.tokens]
+                   + [scene.masks, scene.directions])
+            want = dense_scene_arrays(spec(seed))
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 class TestLocalizationAccuracy:
