@@ -128,6 +128,8 @@ def load_config_file(path):
         if not _has_type(value, CONFIG_TYPES[key]):
             expected = "a list of int" if CONFIG_TYPES[key] is list else CONFIG_TYPES[key].__name__
             raise SceneFormatError(f"config key '{key}' must be {expected}, got {value!r}")
+        if CONFIG_TYPES[key] is float and abs(value) > sys.float_info.max:  # a JSON integer such as 10**400
+            raise SceneFormatError(f"config key '{key}' holds an integer too large for a float")
     return doc
 
 
@@ -273,7 +275,9 @@ def cmd_demo(args, settings, cfg):
 
 
 def _export_scene_heatmaps(scene, cfg, out_dir, token_delta=None):
-    sidecar = export_heatmaps(out_dir, synth.fine_maps(scene, token_delta, cfg.tau_t))
+    with np.errstate(over="ignore", invalid="ignore"):  # export_heatmaps names a non-finite map
+        maps = synth.fine_maps(scene, token_delta, cfg.tau_t)
+    sidecar = export_heatmaps(out_dir, maps)
     return {"dir": out_dir, "maps": sidecar["maps"]}
 
 

@@ -9,6 +9,8 @@ import os
 
 import numpy as np
 
+from .errors import DomainError
+
 HEATMAP_SCHEMA_VERSION = 1
 
 
@@ -46,10 +48,14 @@ def read_pgm(path):
 
 
 def export_heatmaps(out_dir, maps):
-    """Write one PGM per map plus a sidecar heatmaps.json; returns the sidecar dict."""
+    """Write one PGM per map plus a sidecar heatmaps.json; returns the sidecar dict.
+    A non-finite map raises DomainError before the directory or any file is made."""
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 3:
         raise ValueError(f"expected (P, H, W) maps, got shape {maps.shape}")
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"heatmap of prompt {int(np.argmin(finite))} contains non-finite values")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for p in range(maps.shape[0]):

@@ -57,14 +57,14 @@ def _get(doc, name, kind):
 
 
 def _numbers(value, name):
-    """A flat list of JSON numbers (not booleans) as an array; name is the field's dotted path."""
+    """A flat list of finite JSON numbers (not booleans) as an array; name is the field's dotted path."""
     if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
         raise SceneFormatError(f"field '{name}' must be a flat list of numbers")
-    return np.array(value, dtype=np.float64)
-
-
-def _finite(flat, name):
-    if not np.all(np.isfinite(flat)):
+    try:
+        flat = np.array(value, dtype=np.float64)
+    except OverflowError:  # a JSON integer such as 10**400
+        raise SceneFormatError(f"field '{name}' holds an integer too large for a float") from None
+    if not np.isfinite(flat).all():
         raise SceneFormatError(f"field '{name}' contains non-finite values")
     return flat
 
@@ -75,7 +75,7 @@ def _shaped(value, name, shape):
     expected = int(np.prod(shape))
     if flat.size != expected:
         raise SceneFormatError(f"field '{name}' has {flat.size} values, expected {expected} for shape {shape}")
-    return _finite(flat, name).reshape(shape)
+    return flat.reshape(shape)
 
 
 def scene_from_dict(doc):
@@ -112,7 +112,6 @@ def scene_from_dict(doc):
         emb = _numbers(tokens_doc[p], f"tokens[{p}]")
         if emb.size != l * c:
             raise SceneFormatError(f"field 'tokens[{p}]' has {emb.size} values, expected {l * c}")
-        _finite(emb, f"tokens[{p}]")
         if not isinstance(valid_doc[p], list) or not {bool}.issuperset(map(type, valid_doc[p])):
             raise SceneFormatError(f"field 'token_valid[{p}]' must be a list of booleans")
         valid = np.array(valid_doc[p], dtype=bool)

@@ -1,7 +1,7 @@
 """Property suites behind the verify/gibbs/mil/gradcheck commands.
 
 Every check draws its own deterministic RNG stream from (base seed, check
-index), computes a residual, and passes iff residual <= tolerance. Expected
+name), computes a residual, and passes iff residual <= tolerance. Expected
 values marked by hand derivations are frozen constants; everything else is
 compared against an independent oracle (loop evaluation, sort, closed form,
 finite differences).
@@ -63,6 +63,9 @@ _CHECKS = []
 
 
 def _register(name, group, tolerance):
+    if any(name == known for known, _, _, _ in _CHECKS):  # a name keys its stream and its report row
+        raise ValueError(f"check {name!r} is registered twice")
+
     def deco(fn):
         _CHECKS.append((name, group, tolerance, fn))
         return fn
@@ -112,6 +115,30 @@ def _fusion_constant(rng):
 def _fusion_roundtrip(rng):
     m = rng.normal(size=(3, 6, 10))
     return float(np.abs(fusion.downsample2x(fusion.upsample2x(m)) - m).max()), "down(up(m)) = m"
+
+
+@_register("fusion_block_loop_oracle", "fusion", 1e-12)
+def _fusion_blocks(rng):
+    worst = 0.0
+    for width in (6, 2):  # downsample2x's general branch, then its two-column one
+        m = rng.normal(size=(2, 4, width))
+        down, up = np.empty((2, 2, width // 2)), np.empty((2, 8, 2 * width))
+        for c, i, j in np.ndindex(down.shape):
+            down[c, i, j] = sum(m[c, 2 * i + a, 2 * j + b] for a in (0, 1) for b in (0, 1)) / 4.0
+        for c, i, j in np.ndindex(m.shape):
+            up[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = m[c, i, j]
+        worst = _worst(worst, float(np.abs(fusion.downsample2x(m) - down).max()),
+                       float(np.abs(fusion.upsample2x(m) - up).max()))
+    return worst, "2x2 block means and 2x replication against per-block loops"
+
+
+@_register("fused_maps_matches_forward", "fusion", 0.0)
+def _fused_maps_forward(rng):
+    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
+    tokens = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))]
+    tr = forward(features, tokens, rng.random(size=(2, 8, 8)) < 0.3, [0], ObjectiveConfig(tau_t=0.6))
+    pairs = zip(gradients.fused_maps(features, tokens, tau_t=0.6), (tr.dw, tr.gaco.up_map))
+    return _worst(*(float(np.abs(a - b).max()) for a, b in pairs)), "fused_maps against forward's dw and up_map"
 
 
 # ------------------------------------------------------------------- eah
@@ -189,6 +216,17 @@ def _eah_perm(rng):
     return float(np.abs(permuted - base).max()), "token reorder with its mask leaves the map unchanged"
 
 
+@_register("eah_map_loop_oracle", "eah", 1e-12)
+def _eah_map_loop(rng):
+    features, tokens = _draw_head_inputs(rng, 5, 6, 4)
+    valid = np.array([True, True, False, True])
+    tau_t = float(np.exp(rng.normal() * 0.3))
+    pi, eam = _prompt_head(features, tokens, valid, tau_t)
+    _, pi_loop, eam_loop = _loop_head(features, tokens, valid, tau_t)
+    return _worst(float(np.abs(pi - pi_loop).max()), float(np.abs(eam - eam_loop).max())), \
+        "sum_l pi_l * sim[:, :, l] as a loop"
+
+
 # ------------------------------------------------------------------- sem
 
 @_register("sem_shift_invariance", "sem", 1e-10)
@@ -220,15 +258,6 @@ def _sem_worked(rng):
     return _worst(r1, r2), "frozen hand-derived contrastive values"
 
 
-@_register("sem_topk_spatial_permutation", "sem", 1e-12)
-def _sem_perm(rng):
-    m = rng.normal(size=24)
-    k = 5
-    base = semantic.pooled_logit(m, semantic.topk_select(m, k))
-    perm = rng.permutation(24)
-    return abs(semantic.pooled_logit(m[perm], semantic.topk_select(m[perm], k)) - base), ""
-
-
 @_register("sem_positive_monotonicity", "sem", -1e-12)
 def _sem_mono(rng):
     logits = rng.normal(size=4)
@@ -248,6 +277,17 @@ def _sem_nonneg(rng):
         val = semantic.infonce_multi_positive(rng.normal(size=n) * 3, pos, tau=0.3)
         worst = _worst(worst, -val)
     return worst, "loss never negative"
+
+
+@_register("sem_topk_tie_rule", "sem", 0.0)
+def _sem_ties(rng):
+    m = rng.integers(0, 4, size=(4, 6)).astype(np.float64)  # many ties
+    values = m.ravel().tolist()
+    by_rank = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    mismatches = 0
+    for k in range(1, len(values) + 1):
+        mismatches += int((semantic.topk_select(m, k) != sorted(by_rank[:k])).sum())
+    return float(mismatches), "ties keep the lowest index: the first k of a sort on (-value, index)"
 
 
 # ------------------------------------------------------------------ gaco
@@ -347,6 +387,40 @@ def _gaco_ranks(rng):
             mismatches += int(np.sign(a[np.argmax(a)]) != np.sign(b[np.argmax(b)]))
             mismatches += int(np.sign(a[np.argmin(a)]) != np.sign(b[np.argmin(b)]))
     return float(mismatches), "advantage ranking and extreme signs survive increasing transforms"
+
+
+@_register("gaco_region_stats_closed_forms", "gaco", 1e-12)
+def _gaco_stats(rng):
+    eps = 0.1  # large enough that eps inside and outside the root differ
+    worst = 0.0
+    for size in rng.integers(1, 13, size=3):
+        vals = rng.random(size=int(size))  # confidences lie in (0, 1)
+        var = float(np.var(vals))
+        for std_mode, sigma in (("population", math.sqrt(var + eps)), ("std_plus_eps", math.sqrt(var) + eps)):
+            mu, got = gaco.region_stats(vals, eps, std_mode)
+            worst = _worst(worst, abs(mu - float(np.mean(vals))), abs(got - sigma))
+    return worst, "sqrt(var + eps) and sqrt(var) + eps at eps = 0.1"
+
+
+@_register("gaco_advantage_loop_oracle", "gaco", 1e-12)
+def _gaco_adv_loop(rng):
+    m = rng.normal(size=(3, 6, 6))
+    masks = rng.random(size=(3, 6, 6)) < 0.5
+    scale = float(np.abs(m).max())
+    worst = 0.0
+    for std_mode in gaco.STD_MODES:
+        cfg = gaco.GacoConfig(clip=1.5, eps=0.1, std_mode=std_mode)  # clips some cells; eps sets the two modes apart
+        adv = gaco.gaco_forward(m, masks, cfg).adv
+        for p in range(3):
+            conf = [1.0 / (1.0 + math.exp(-x / (scale + cfg.eps))) for x in m[p][masks[p]]]
+            if not conf:
+                continue
+            mu = sum(conf) / len(conf)
+            var = sum((c - mu) ** 2 for c in conf) / len(conf)
+            sigma = math.sqrt(var + cfg.eps) if std_mode == "population" else math.sqrt(var) + cfg.eps
+            loop = [min(max((c - mu) / sigma, -cfg.clip), cfg.clip) for c in conf]
+            worst = _worst(worst, float(np.abs(adv[p][masks[p]] - loop).max()))
+    return worst, "masked advantages against a per-cell sigmoid, region statistics and clip"
 
 
 # ----------------------------------------------------------------- gibbs
@@ -566,34 +640,6 @@ def _grad_pads(rng):
     return worst, "pad-token rows receive exactly zero gradient"
 
 
-# ----------------------------------------------------- registered last
-# These checks come after every other one, so that the (seed, index) RNG
-# streams of the checks above stay as they were.
-
-@_register("sem_topk_tie_rule", "sem", 0.0)
-def _sem_ties(rng):
-    m = rng.integers(0, 4, size=(4, 6)).astype(np.float64)  # many ties
-    values = m.ravel().tolist()
-    by_rank = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    mismatches = 0
-    for k in range(1, len(values) + 1):
-        mismatches += int((semantic.topk_select(m, k) != sorted(by_rank[:k])).sum())
-    return float(mismatches), "ties keep the lowest index: the first k of a sort on (-value, index)"
-
-
-@_register("gaco_region_stats_closed_forms", "gaco", 1e-12)
-def _gaco_stats(rng):
-    eps = 0.1  # large enough that eps inside and outside the root differ
-    worst = 0.0
-    for size in rng.integers(1, 13, size=3):
-        vals = rng.random(size=int(size))  # confidences lie in (0, 1)
-        var = float(np.var(vals))
-        for std_mode, sigma in (("population", math.sqrt(var + eps)), ("std_plus_eps", math.sqrt(var) + eps)):
-            mu, got = gaco.region_stats(vals, eps, std_mode)
-            worst = _worst(worst, abs(mu - float(np.mean(vals))), abs(got - sigma))
-    return worst, "sqrt(var + eps) and sqrt(var) + eps at eps = 0.1"
-
-
 def _directional_error(case, rng):
     """Analytic directional derivatives of the objective along the gradient and
     two random directions against central differences with the advantage
@@ -630,17 +676,6 @@ def _grad_sweep(rng):
     return worst, "directional derivatives at tau_t, tau, k and eps off their defaults"
 
 
-@_register("eah_map_loop_oracle", "eah", 1e-12)
-def _eah_map_loop(rng):
-    features, tokens = _draw_head_inputs(rng, 5, 6, 4)
-    valid = np.array([True, True, False, True])
-    tau_t = float(np.exp(rng.normal() * 0.3))
-    pi, eam = _prompt_head(features, tokens, valid, tau_t)
-    _, pi_loop, eam_loop = _loop_head(features, tokens, valid, tau_t)
-    return _worst(float(np.abs(pi - pi_loop).max()), float(np.abs(eam - eam_loop).max())), \
-        "sum_l pi_l * sim[:, :, l] as a loop"
-
-
 @_register("grad_fixed_features", "grad", 1e-12)
 def _grad_fixed(rng):
     features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
@@ -654,51 +689,6 @@ def _grad_fixed(rng):
               np.concatenate(gradients.backward(tr).d_tokens)))  # prompt 1's rows 2 and 3 are padding
     return _worst(*(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)), \
         "fixed-features maps, losses and token gradients against forward and backward"
-
-
-@_register("gaco_advantage_loop_oracle", "gaco", 1e-12)
-def _gaco_adv_loop(rng):
-    m = rng.normal(size=(3, 6, 6))
-    masks = rng.random(size=(3, 6, 6)) < 0.5
-    scale = float(np.abs(m).max())
-    worst = 0.0
-    for std_mode in gaco.STD_MODES:
-        cfg = gaco.GacoConfig(clip=1.5, eps=0.1, std_mode=std_mode)  # clips some cells; eps sets the two modes apart
-        adv = gaco.gaco_forward(m, masks, cfg).adv
-        for p in range(3):
-            conf = [1.0 / (1.0 + math.exp(-x / (scale + cfg.eps))) for x in m[p][masks[p]]]
-            if not conf:
-                continue
-            mu = sum(conf) / len(conf)
-            var = sum((c - mu) ** 2 for c in conf) / len(conf)
-            sigma = math.sqrt(var + cfg.eps) if std_mode == "population" else math.sqrt(var) + cfg.eps
-            loop = [min(max((c - mu) / sigma, -cfg.clip), cfg.clip) for c in conf]
-            worst = _worst(worst, float(np.abs(adv[p][masks[p]] - loop).max()))
-    return worst, "masked advantages against a per-cell sigmoid, region statistics and clip"
-
-
-@_register("fusion_block_loop_oracle", "fusion", 1e-12)
-def _fusion_blocks(rng):
-    worst = 0.0
-    for width in (6, 2):  # downsample2x's general branch, then its two-column one
-        m = rng.normal(size=(2, 4, width))
-        down, up = np.empty((2, 2, width // 2)), np.empty((2, 8, 2 * width))
-        for c, i, j in np.ndindex(down.shape):
-            down[c, i, j] = sum(m[c, 2 * i + a, 2 * j + b] for a in (0, 1) for b in (0, 1)) / 4.0
-        for c, i, j in np.ndindex(m.shape):
-            up[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = m[c, i, j]
-        worst = _worst(worst, float(np.abs(fusion.downsample2x(m) - down).max()),
-                       float(np.abs(fusion.upsample2x(m) - up).max()))
-    return worst, "2x2 block means and 2x replication against per-block loops"
-
-
-@_register("fused_maps_matches_forward", "fusion", 0.0)
-def _fused_maps_forward(rng):
-    features = [rng.normal(size=(3, 8 // f, 8 // f)) for f in (1, 2, 4)]
-    tokens = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))]
-    tr = forward(features, tokens, rng.random(size=(2, 8, 8)) < 0.3, [0], ObjectiveConfig(tau_t=0.6))
-    pairs = zip(gradients.fused_maps(features, tokens, tau_t=0.6), (tr.dw, tr.gaco.up_map))
-    return _worst(*(float(np.abs(a - b).max()) for a, b in pairs)), "fused_maps against forward's dw and up_map"
 
 
 # ---------------------------------------------------------------- faults
@@ -754,8 +744,8 @@ def _edited_code(function, old, new):
 
 def run_suite(groups=None, seed=0, fault=None):
     """Run the registered checks, with the named fault's edits planted if
-    fault is given; results are ordered by registry index, and a check that
-    raises is recorded as failed."""
+    fault is given; results are in registry order, each check's stream is
+    drawn from (seed, name), and a check that raises is recorded as failed."""
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     known = sorted({group for _, group, _, _ in _CHECKS})
@@ -769,10 +759,10 @@ def run_suite(groups=None, seed=0, fault=None):
         for function, old, new in edits:
             function.__code__ = _edited_code(function, old, new)
         results = []
-        for i, (name, group, tol, fn) in enumerate(_CHECKS):
+        for name, group, tol, fn in _CHECKS:
             if groups is not None and group not in groups:
                 continue
-            rng = np.random.default_rng([seed, i])
+            rng = np.random.default_rng([seed, *name.encode()])
             try:
                 residual, detail = fn(rng)
             except Exception as e:  # a check that raises fails, and the others still run

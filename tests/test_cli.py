@@ -127,6 +127,17 @@ class TestLossCommand:
         assert res.returncode == 2, res.stderr
         assert "field 'masks' must be a flat list of numbers" in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize("field", ["features.p3", "tokens[0]"])
+    def test_scene_integer_too_large_for_a_float_named(self, tmp_path, field):
+        # converting the JSON integer 10**400 to a float raised OverflowError
+        doc = json.loads(FIXTURE.read_text())
+        (doc["features"]["p3"] if field == "features.p3" else doc["tokens"][0])[0] = 10**400
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        res = run_cli(["loss", "--scene", "scene.json"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: field '{field}' holds an integer too large for a float\n"
+        assert res.stdout == ""
+
     def test_non_finite_loss_named_and_not_printed(self, tmp_path):
         # at a temperature of 1e-308 the logit ratios overflow to inf and the loss is NaN
         res = run_cli(["loss", "--seed", "3", "--tau", "1e-308", "--tau-t", "1e-308", "--json"],
@@ -160,6 +171,15 @@ class TestConfigAndSeeds:
         res = run_cli([command, "--config", "cfg.json"], cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert f"config key '{next(iter(config))}'" in res.stderr
+
+    @pytest.mark.parametrize("command,key", [("loss", "tau"), ("loss", "signal"), ("demo", "lr")])
+    def test_config_integer_too_large_for_a_float_named(self, tmp_path, command, key):
+        # the JSON integer 10**400 reached np.isfinite and float arithmetic, which raised TypeError
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 10**400}))
+        res = run_cli([command, "--config", "cfg.json"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"error: config key '{key}' holds an integer too large for a float\n"
+        assert res.stdout == ""
 
     def test_config_integers_accepted_for_float_keys(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"lambda_sem": 1, "normalize_sim": True}))
@@ -236,7 +256,7 @@ class TestVerifyCommand:
         sweep = checks["grad_config_sweep"]
         assert not sweep["passed"] and sweep["residual"] is None
         assert sweep["detail"] == ("raised DomainError: no gradcheck case clears the margins"
-                                   " in seeds 930356863 to 930357862")
+                                   " in seeds 2022974226 to 2022975225")
         assert checks["eah_temperature_limits"]["residual"] is None
         table = run_cli(fault, cwd=tmp_path)
         assert table.returncode == 1, table.stderr
@@ -331,6 +351,20 @@ class TestHeatmapCommand:
         assert res.returncode == 0, res.stderr
         data = read_pgm(tmp_path / "hm" / "prompt_00.pgm")
         assert (data == data[0, 0]).all()
+
+    def test_non_finite_map_named_before_any_file(self, tmp_path):
+        # every value is finite, so the scene file is read, but the fine maps overflow; the
+        # PGMs and a sidecar holding NaN were written, then the report raised ValueError
+        from expalign import sceneio, synth
+
+        doc = sceneio.scene_to_dict(synth.generate_scene(synth.benchmark_spec(1)))
+        doc["features"] = {key: [v * 1e306 for v in values] for key, values in doc["features"].items()}
+        doc["tokens"] = [[v * 100 for v in values] for values in doc["tokens"]]
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        res = run_cli(["heatmap", "--scene", "big.json", "--out-dir", "hm"], cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == "error: heatmap of prompt 0 contains non-finite values\n" and res.stdout == ""
+        assert not (tmp_path / "hm").exists()
 
     def test_sidecar_allows_value_reconstruction(self, tmp_path):
         from expalign.gradients import fused_maps
