@@ -2,8 +2,8 @@
 
 The top level exports the quick-start names only; everything else is imported
 from its submodule (expalign.gradients, expalign.gaco, expalign.synth, ...).
-The loss runs the rank-C head in expalign.gradients; expalign.eah keeps the
-tensor form as a reference for the tests and the benchmark.
+The head is written once, in rank-C form, in expalign.gradients; the loss runs
+it, and expalign.eah.alignment_map runs it on one prompt at one scale.
 """
 
 from .errors import DimensionError, DomainError, SceneFormatError

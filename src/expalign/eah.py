@@ -1,15 +1,16 @@
-"""Expectation alignment head.
+"""Expectation alignment head on one prompt at one scale.
 
-Turns a dense feature map and one prompt's token embeddings into a spatial
-alignment map: token-wise similarities, a softmax posterior over tokens driven
-by their spatially averaged response, and the posterior-weighted expectation
-over token maps.
+alignment_map checks one prompt's inputs and runs the production head,
+gradients._head, the rank-C form the loss runs: a softmax posterior over the
+valid tokens of their spatially averaged similarity, and the posterior-weighted
+expectation of the token maps. FeatureMap and TokenBatch are a scene's records.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import gradients
 from .errors import DimensionError, DomainError
 
 
@@ -28,65 +29,15 @@ class TokenBatch:
     valid: np.ndarray
 
 
-def token_similarity(values, embeddings):
-    """Inner products of every column of a (C, H, W) feature array with every
-    row of an (L, C) token array, shaped (H, W, L).
-
-    Pad tokens are included; masking is the posterior's job.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if values.ndim != 3 or emb.ndim != 2 or min(values.shape + emb.shape) < 1:
-        raise DimensionError(f"features must be (C, H, W) and tokens (L, C) with positive dims, "
-                             f"got {values.shape} and {emb.shape}")
-    if values.shape[0] != emb.shape[1]:
-        raise DimensionError(
-            f"channel mismatch: features have C={values.shape[0]}, tokens have C={emb.shape[1]}"
-        )
-    if not (np.isfinite(values).all() and np.isfinite(emb).all()):
-        raise DomainError("features and tokens must be finite")
-    return np.einsum("cxy,lc->xyl", values, emb)
-
-
-def token_posterior(sim, valid, tau_t=1.0):
-    """Softmax posterior over valid tokens of the spatially averaged similarity.
-
-    The spatial mean runs over all locations. Invalid tokens are excluded from
-    the softmax by masking before exponentiation, so their weight is exactly 0.
-    Returns the (L,) weight vector on the simplex.
-    """
-    if tau_t <= 0:
-        raise DomainError(f"token temperature must be positive, got {tau_t}")
-    sim = np.asarray(sim, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if sim.ndim != 3 or sim.shape[2] != valid.shape[0]:
-        raise DimensionError(f"similarity (H, W, L) with L={valid.shape[0]} expected, got {sim.shape}")
-    if not valid.any():
-        raise DomainError("at least one token must be valid")
-    sbar = sim.mean(axis=(0, 1))  # (L,)
-    logits = sbar[valid] / tau_t
-    # its own softmax, not variational.gibbs: a reference stays independent of the code it checks
-    shifted = logits - logits.max()
-    expv = np.exp(shifted)
-    weights = np.zeros_like(sbar)
-    weights[valid] = expv / expv.sum()
-    return weights
-
-
-def expectation_map(sim, posterior):
-    """Marginalize token maps under the posterior: sum_l pi(l) * sim[:, :, l]."""
-    weights = np.asarray(posterior, dtype=np.float64)
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.shape[-1] != weights.shape[0]:
-        raise DimensionError(f"token count mismatch: sim has L={sim.shape[-1]}, posterior has L={weights.shape[0]}")
-    return np.einsum("xyl,l->xy", sim, weights)
-
-
 def alignment_map(values, tokens, tau_t=1.0):
-    """Full head for one prompt at one scale: similarity -> posterior -> expectation.
-
-    values is a (C, H, W) feature array and tokens the prompt's TokenBatch; the
-    shape, finiteness and validity checks are token_similarity's and token_posterior's.
-    """
-    sim = token_similarity(values, tokens.embeddings)
-    return expectation_map(sim, token_posterior(sim, tokens.valid, tau_t))
+    """The (H, W) alignment map of one prompt, tokens its TokenBatch, on a (C, H, W)
+    feature array. The features must be finite with positive dims, the tokens pass
+    gradients.coerce_tokens, and tau_t is checked as ObjectiveConfig checks it."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3 or min(values.shape) < 1:
+        raise DimensionError(f"features must be (C, H, W) with positive dims, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise DomainError("features must be finite")
+    gradients.ObjectiveConfig(tau_t=tau_t)
+    tok_stack, valid_stack, _ = gradients.coerce_tokens([tokens.embeddings], [tokens.valid], values.shape[0])
+    return gradients._head([values], tok_stack, valid_stack, tau_t)[3][0][0]

@@ -51,7 +51,7 @@ def _flat_maps(m):
 def normalize_sim(m, eps=1e-6):
     """Divide every value by (max |value| + eps), per map of a (..., P, H, W) stack;
     all-zero input stays all-zero."""
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise DomainError(f"eps must be positive, got {eps}")
     flat = _flat_maps(m)
     return (flat / (np.abs(flat).max(axis=-1, keepdims=True) + eps)).reshape(np.shape(m))

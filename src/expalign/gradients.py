@@ -6,10 +6,11 @@ geometry term. Backward accumulates into the feature maps and the token
 embeddings, the two quantities an encoder or adapter would receive.
 
 The head is computed in rank-C form, sbar = T.fbar and eam = F^T (pi^T T): the
-(P, H, W, L) similarity tensor of eah's reference form is never built. A prompt's
-posterior sees a scale only through its channel mean fbar, so one _head call runs
-the token side of all three scales on a leading scale axis, and backward stacks
-the gradients at w into G (3, P, C) for one _token_chain call.
+(P, H, W, L) similarity tensor is never built, and eah.alignment_map runs this
+head on one prompt. A prompt's posterior sees a scale only through its channel
+mean fbar, so one _head call runs the token side of all three scales on a
+leading scale axis, and backward stacks the gradients at w into G (3, P, C) for
+one _token_chain call.
 
 Internally prompts are padded to a common token count and processed batched;
 pad tokens carry exactly zero posterior weight and zero gradient, so padding
@@ -355,7 +356,9 @@ def fixed_features_objective(fixed, tok_stack, valid_stack, masks, positives, cf
 
 
 def fused_maps(features, tokens, tau_t=1.0, token_valid=None):
-    """Coarse and fine fused maps (dw, up) without touching the losses."""
+    """Coarse and fine fused maps (dw, up) without touching the losses; tau_t is
+    checked as ObjectiveConfig checks it."""
+    ObjectiveConfig(tau_t=tau_t)
     fvals, tok_stack, valid_stack, _ = coerce_inputs(features, tokens, token_valid)
     eams = _head(fvals, tok_stack, valid_stack, tau_t)[3]
     return fusion.fuse_down(*eams), fusion.fuse_up(*eams)

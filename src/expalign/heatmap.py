@@ -20,8 +20,9 @@ def write_pgm(path, values):
     if values.ndim != 2:
         raise ValueError(f"heatmap must be 2-D, got shape {values.shape}")
     lo, hi = float(values.min()), float(values.max())
-    if hi > lo:
-        scaled = np.rint((values - lo) / (hi - lo) * 255.0)
+    half_range = hi / 2 - lo / 2  # by halves, so a range wider than the largest float does not overflow
+    if half_range > 0:
+        scaled = np.rint((values / 2 - lo / 2) / half_range * 255.0)
     else:
         scaled = np.zeros_like(values)
     data = scaled.astype(np.uint8)

@@ -16,6 +16,8 @@ def topk_budget(h3, w3, n_cells_coarse, ratio=0.01):
     """
     if h3 < 1 or w3 < 1 or n_cells_coarse < 1:
         raise DomainError("dimensions must be positive")
+    if not 0 < ratio <= 1:  # ObjectiveConfig's rule for topk_ratio; NaN fails it
+        raise DomainError(f"topk ratio must lie in (0, 1], got {ratio}")
     k = math.floor(h3 * w3 * ratio)
     return max(1, min(k, n_cells_coarse))
 
@@ -63,7 +65,7 @@ def infonce_multi_positive(logits, positives, tau=0.25):
     weight. Computed with a max-subtracted log-sum-exp; returns exactly 0 when
     a single prompt is both the positive and the whole candidate set.
     """
-    if tau <= 0:
+    if not tau > 0:  # NaN fails too
         raise DomainError(f"temperature must be positive, got {tau}")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:

@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import run_cli
 from expalign import gradients
-from expalign.eah import expectation_map, token_posterior
 from expalign.gaco import GacoConfig, gaco_forward
 from expalign.gradients import ObjectiveConfig, objective
 from expalign.semantic import infonce_multi_positive
@@ -158,19 +157,20 @@ def test_criterion_5_exact_identities():
                 if masks[p].any():
                     assert abs(res.adv[p][masks[p]].sum()) <= 1e-8
 
-        # token-temperature limits of the expectation head
+        # token-temperature limits of the expectation head, on identity tokens as in criterion 1
         for _ in range(10):
             sim = rng.normal(size=(4, 4, 6))
             valid = rng.random(6) < 0.8
             if not valid.any():
                 valid[0] = True
-            hot = token_posterior(sim, valid, tau_t=1e6)
-            assert np.abs(hot - valid / valid.sum()).max() <= 1e-5
-            assert np.abs(expectation_map(sim, hot) - sim[:, :, valid].mean(axis=2)).max() <= 1e-5
-            cold = token_posterior(sim, valid, tau_t=1e-6)
+            head = [[sim.transpose(2, 0, 1)], np.eye(6)[None], valid[None]]
+            _, hot, _, (eam_hot,), _ = gradients._head(*head, 1e6)
+            assert np.abs(hot[0, 0] - valid / valid.sum()).max() <= 1e-5
+            assert np.abs(eam_hot[0] - sim[:, :, valid].mean(axis=2)).max() <= 1e-5
+            _, cold, _, (eam_cold,), _ = gradients._head(*head, 1e-6)
             best = int(np.argmax(np.where(valid, sim.mean(axis=(0, 1)), -np.inf)))
-            assert abs(cold[best] - 1.0) <= 1e-5
-            assert np.abs(expectation_map(sim, cold) - sim[:, :, best]).max() <= 1e-5
+            assert abs(cold[0, 0, best] - 1.0) <= 1e-5
+            assert np.abs(eam_cold[0] - sim[:, :, best]).max() <= 1e-5
 
 
 def test_criterion_6_worked_example_regression():

@@ -1,21 +1,21 @@
+"""The public head `eah.alignment_map`, one class per stage of the head it runs:
+the token similarities, the token posterior and the expectation map.
+
+`identity_head` runs it on identity tokens, whose similarities are the feature
+planes themselves, so a test can choose every similarity of every cell."""
+
 import math
 
 import numpy as np
 import pytest
 
-from expalign.eah import (
-    FeatureMap,
-    TokenBatch,
-    alignment_map,
-    expectation_map,
-    token_posterior,
-    token_similarity,
-)
+from expalign import verify
+from expalign.eah import FeatureMap, TokenBatch, alignment_map
 from expalign.errors import DimensionError, DomainError
 
 
 def similarity_oracle(fvals, emb):
-    """Triple-loop inner products, independent of the einsum path."""
+    """Triple-loop inner products, independent of the head's matrix products."""
     c, h, w = fvals.shape
     l = emb.shape[0]
     out = np.zeros((h, w, l))
@@ -29,27 +29,40 @@ def similarity_oracle(fvals, emb):
     return out
 
 
+def identity_head(sim, valid, tau_t=1.0):
+    """The map of the head whose similarities are the (H, W, L) array sim."""
+    l = sim.shape[2]
+    return alignment_map(sim.transpose(2, 0, 1), TokenBatch(np.eye(l), np.asarray(valid, dtype=bool)), tau_t)
+
+
+def one_hot(l, t):
+    return np.arange(l) == t
+
+
 class TestTokenSimilarity:
     def test_identity_basis_tokens(self):
         fvals = np.zeros((2, 1, 1))
         fvals[:, 0, 0] = [1.0, 2.0]
-        emb = np.eye(2)
-        sim = token_similarity(fvals, emb)
-        np.testing.assert_array_equal(sim[0, 0], [1.0, 2.0])
+        for t, want in enumerate([1.0, 2.0]):
+            np.testing.assert_array_equal(alignment_map(fvals, TokenBatch(np.eye(2), one_hot(2, t))), [[want]])
 
     def test_zero_features_give_zero(self):
-        sim = token_similarity(np.zeros((3, 2, 2)), np.ones((4, 3)))
-        assert not sim.any()
+        eam = alignment_map(np.zeros((3, 2, 2)), TokenBatch(np.ones((4, 3)), np.ones(4, dtype=bool)))
+        assert not eam.any()
 
     def test_matches_loop_oracle(self):
+        # a single valid token selects its own similarity map
         rng = np.random.default_rng(11)
         fvals = rng.integers(-5, 6, size=(3, 2, 2)).astype(float)
         emb = rng.integers(-5, 6, size=(4, 3)).astype(float)
-        np.testing.assert_allclose(token_similarity(fvals, emb), similarity_oracle(fvals, emb), atol=1e-12)
+        sim = similarity_oracle(fvals, emb)
+        for t in range(4):
+            np.testing.assert_allclose(alignment_map(fvals, TokenBatch(emb, one_hot(4, t))), sim[:, :, t],
+                                       atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            token_similarity(np.zeros((3, 2, 2)), np.ones((4, 2)))
+            alignment_map(np.zeros((3, 2, 2)), TokenBatch(np.ones((4, 2)), np.ones(4, dtype=bool)))
 
     @pytest.mark.parametrize("values,emb,error", [
         (np.ones((3, 2)), np.ones((4, 3)), DimensionError),
@@ -59,97 +72,96 @@ class TestTokenSimilarity:
     ], ids=["features-2d", "tokens-1d", "nan-features", "inf-tokens"])
     def test_ill_shaped_or_non_finite_rejected(self, values, emb, error):
         with pytest.raises(error):
-            token_similarity(values, emb)
+            alignment_map(values, TokenBatch(emb, np.ones(len(emb), dtype=bool)))
 
     def test_domain_objects_rejected(self):
-        # arrays only: FeatureMap and TokenBatch are not a second input format
+        # the features are an array: a FeatureMap is not a second input format
         fm = FeatureMap(np.ones((2, 2, 2)))
         tb = TokenBatch(np.ones((3, 2)), np.ones(3, dtype=bool))
         with pytest.raises(TypeError):
-            token_similarity(fm, tb.embeddings)
-        with pytest.raises(TypeError):
-            token_similarity(fm.values, tb)
+            alignment_map(fm, tb)
 
 
 class TestTokenPosterior:
     def test_single_valid_token(self):
         sim = np.random.default_rng(0).normal(size=(3, 3, 1))
-        pi = token_posterior(sim, np.array([True]))
-        np.testing.assert_array_equal(pi, [1.0])
+        np.testing.assert_array_equal(identity_head(sim, [True]), sim[:, :, 0])
 
     def test_uniform_for_equal_means(self):
-        sim = np.zeros((2, 2, 4))
-        pi = token_posterior(sim, np.ones(4, dtype=bool))
-        np.testing.assert_allclose(pi, 0.25, atol=1e-15)
+        sim = np.random.default_rng(5).normal(size=(2, 2, 4))
+        sim -= sim.mean(axis=(0, 1))  # every token's spatial mean is 0
+        np.testing.assert_allclose(identity_head(sim, np.ones(4, dtype=bool)), sim.mean(axis=2), atol=1e-15)
 
     def test_direct_evaluation(self):
         # spatial means ln 2 and 0 at tau 1 give weights 2/3, 1/3
-        sim = np.zeros((1, 1, 2))
-        sim[0, 0] = [math.log(2.0), 0.0]
-        pi = token_posterior(sim, np.ones(2, dtype=bool), tau_t=1.0)
-        np.testing.assert_allclose(pi, [2 / 3, 1 / 3], atol=1e-15)
+        sim = np.zeros((1, 2, 2))
+        sim[0, :, 0] = [2 * math.log(2.0), 0.0]
+        sim[0, :, 1] = [1.0, -1.0]
+        want = [[2 / 3 * 2 * math.log(2.0) + 1 / 3, -1 / 3]]
+        np.testing.assert_allclose(identity_head(sim, np.ones(2, dtype=bool), tau_t=1.0), want, atol=1e-15)
 
     def test_invalid_tokens_get_exact_zero(self):
+        # a pad token's similarities, however large, move no bit of the map
         rng = np.random.default_rng(1)
         sim = rng.normal(size=(4, 4, 5))
         valid = np.array([True, False, True, False, True])
-        pi = token_posterior(sim, valid)
-        assert (pi[~valid] == 0.0).all()
-        assert abs(pi.sum() - 1.0) <= 1e-12
+        loud = sim.copy()
+        loud[:, :, ~valid] = 1e300
+        quiet = sim.copy()
+        quiet[:, :, ~valid] = 0.0
+        np.testing.assert_array_equal(identity_head(loud, valid), identity_head(quiet, valid))
 
     def test_all_invalid_rejected(self):
         with pytest.raises(DomainError):
-            token_posterior(np.zeros((2, 2, 3)), np.zeros(3, dtype=bool))
+            alignment_map(np.zeros((3, 2, 2)), TokenBatch(np.ones((3, 3)), np.zeros(3, dtype=bool)))
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(DomainError):
-            token_posterior(np.zeros((2, 2, 3)), np.ones(3, dtype=bool), tau_t=0.0)
+        tokens = TokenBatch(np.ones((3, 3)), np.ones(3, dtype=bool))
+        for tau_t in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                alignment_map(np.zeros((3, 2, 2)), tokens, tau_t=tau_t)
 
-    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3)])
     def test_shape_mismatch_rejected(self, shape):
+        # a validity mask of 3 entries for fewer or more tokens
         with pytest.raises(DimensionError):
-            token_posterior(np.zeros(shape), np.ones(3, dtype=bool))
+            alignment_map(np.zeros((3, 2, 2)), TokenBatch(np.ones(shape), np.ones(3, dtype=bool)))
 
 
 class TestExpectationMap:
     def test_equal_weights_average(self):
         rng = np.random.default_rng(2)
         sim = rng.normal(size=(3, 3, 2))
-        out = expectation_map(sim, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(out, sim.mean(axis=2), atol=1e-15)
+        sim[:, :, 1] += sim[:, :, 0].mean() - sim[:, :, 1].mean()  # equal spatial means
+        np.testing.assert_allclose(identity_head(sim, np.ones(2, dtype=bool)), sim.mean(axis=2), atol=1e-15)
 
     def test_one_hot_selects_token(self):
         rng = np.random.default_rng(3)
         sim = rng.normal(size=(2, 5, 4))
-        weights = np.zeros(4)
-        weights[2] = 1.0
-        np.testing.assert_array_equal(expectation_map(sim, weights), sim[:, :, 2])
+        np.testing.assert_array_equal(identity_head(sim, one_hot(4, 2)), sim[:, :, 2])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
         sim = rng.normal(size=(3, 3, 4))
-        weights = rng.random(4)
+        means = sim.mean(axis=(0, 1))
+        weights = np.exp(means - means.max())
         weights /= weights.sum()
         oracle = np.zeros((3, 3))
         for x in range(3):
             for y in range(3):
                 for t in range(4):
                     oracle[x, y] += weights[t] * sim[x, y, t]
-        np.testing.assert_allclose(expectation_map(sim, weights), oracle, atol=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            expectation_map(np.zeros((2, 2, 3)), np.ones(4) / 4)
+        np.testing.assert_allclose(identity_head(sim, np.ones(4, dtype=bool)), oracle, atol=1e-12)
 
 
 class TestFullHead:
     def test_alignment_map_composes_the_three_stages(self):
+        # the three stages one cell at a time: verify's loop oracle
         rng = np.random.default_rng(8)
         fm = FeatureMap(rng.normal(size=(3, 4, 4)))
         tb = TokenBatch(rng.normal(size=(5, 3)), np.array([True, True, True, False, True]))
-        sim = token_similarity(fm.values, tb.embeddings)
-        expected = expectation_map(sim, token_posterior(sim, tb.valid, 0.7))
-        np.testing.assert_array_equal(alignment_map(fm.values, tb, tau_t=0.7), expected)
+        expected = verify._loop_head(fm.values, tb.embeddings, tb.valid, 0.7)[2]
+        np.testing.assert_allclose(alignment_map(fm.values, tb, tau_t=0.7), expected, rtol=0, atol=1e-12)
 
 
 class TestDomainTypes:

@@ -1,12 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from expalign import fusion, gradients
+from expalign.eah import TokenBatch, alignment_map
 from expalign.errors import DimensionError, DomainError
-from expalign.gaco import GacoConfig, confidence, gaco_forward
+from expalign.gaco import GacoConfig, confidence, gaco_forward, normalize_sim
 from expalign.gradients import (
     FD_STENCIL,
     GradientBundle,
@@ -24,7 +26,8 @@ from expalign.gradients import (
     objective_with_gradients,
     relative_gradient_error,
 )
-from expalign.synth import SceneSpec, benchmark_config, benchmark_spec, generate_scene
+from expalign.semantic import infonce_multi_positive, topk_budget
+from expalign.synth import SceneSpec, benchmark_config, benchmark_spec, generate_scene, localization_accuracy
 from expalign.verify import find_gradcheck_cases, run_gradcheck_case
 
 
@@ -182,6 +185,28 @@ class TestObjective:
             objective(scene.features, tvals, scene.masks, scene.positives, token_valid=valids)
         with pytest.raises(TypeError):
             objective(fvals, scene.tokens, scene.masks, scene.positives)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: fused_maps(*small_problem(15)[:2], tau_t=np.nan),
+    lambda: fused_maps(*small_problem(15)[:2], tau_t=0.0),
+    lambda: fused_maps(*small_problem(15)[:2], tau_t=-1.0),
+    lambda: localization_accuracy(generate_scene(benchmark_spec(1)), None, np.nan),
+    lambda: alignment_map(np.ones((3, 2, 2)), TokenBatch(np.eye(3), np.ones(3, dtype=bool)), np.nan),
+    lambda: infonce_multi_positive(np.zeros(3), [0], tau=np.nan),
+    lambda: normalize_sim(np.ones((2, 2)), eps=np.nan),
+    lambda: topk_budget(8, 8, 4, ratio=np.nan),
+    lambda: topk_budget(8, 8, 4, ratio=0.0),
+    lambda: topk_budget(8, 8, 4, ratio=1.5),
+], ids=["fused_maps-tau_t-nan", "fused_maps-tau_t-zero", "fused_maps-tau_t-negative",
+        "localization_accuracy-tau_t-nan", "alignment_map-tau_t-nan", "infonce-tau-nan",
+        "normalize_sim-eps-nan", "topk_budget-ratio-nan", "topk_budget-ratio-zero", "topk_budget-ratio-above-1"])
+def test_nan_or_out_of_range_temperatures_and_ratios_rejected(entry):
+    # each returned a NaN result, an accuracy read from a NaN map, a warning or a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            entry()
 
 
 class TestFiniteDifferences:

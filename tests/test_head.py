@@ -1,8 +1,8 @@
 """Differential tests of the rank-C alignment head in `expalign.gradients`.
 
-The forward maps are checked against the per-prompt tensor-form head in
-`expalign.eah`, and the backward pass against the dense reverse pass over the
-(P, H, W, L) similarity tensor, kept here as the reference.
+The forward maps are checked against `verify._loop_head`, the per-cell loop
+the `eah` checks use, and the backward pass against the dense reverse pass over
+the (P, H, W, L) similarity tensor, kept here as the reference.
 """
 
 import numpy as np
@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expalign import fusion, gradients, semantic, verify
-from expalign.eah import TokenBatch, alignment_map, token_similarity
+from expalign import eah, fusion, gradients, semantic, verify
 from expalign.gaco import gaco_backward
 from expalign.gradients import ObjectiveConfig, backward, coerce_inputs, forward, fused_maps, objective_fd_gradients
 from expalign.synth import SceneSpec, benchmark_spec, generate_scene
@@ -77,9 +76,9 @@ def test_rank_c_head_matches_tensor_form(seed, lengths, channels, h3, tau_t):
 
     for s, fv in enumerate(features):
         for p, (t, v) in enumerate(zip(toks, valid)):
-            ref = alignment_map(fv, TokenBatch(t, v), tau_t)
+            sim, _, ref = verify._loop_head(fv, t, v, tau_t)
             assert np.abs(tr.eams[s][p] - ref).max() <= 1e-12
-            sbar = token_similarity(fv, t).mean(axis=(0, 1))
+            sbar = sim.mean(axis=(0, 1))
             assert np.abs(tr.sbars[s][p, :len(t)] - sbar).max() <= 1e-12
 
     bundle = backward(tr)
@@ -143,8 +142,9 @@ def test_head_on_the_scale_axis_equals_one_call_per_scale_bitwise(case):
 
 @pytest.mark.parametrize("fault", ["eah-map-scaled-1e-9", "eah-map-offset-1e-9"])
 def test_planted_head_row_moves_every_caller(monkeypatch, fault):
-    # the eah group checks gradients._head; this pins that the loss, the fused maps and
-    # the finite-difference oracle's feature and token points run that head, not a copy
+    # the eah group checks gradients._head; this pins that the loss, the fused maps, the
+    # finite-difference oracle's feature and token points and the public one-prompt head
+    # eah.alignment_map run that head, not a copy
     features, toks, valid, masks, positives = ragged_problem(4, [3, 2], 3, 8)
     args = (features, toks, masks, positives, ObjectiveConfig(), valid)
     base = forward(*args)
@@ -153,7 +153,9 @@ def test_planted_head_row_moves_every_caller(monkeypatch, fault):
     def outputs():
         fd = objective_fd_gradients(*args)
         return {"forward": forward(*args).eams, "fused_maps": fused_maps(features, toks, 1.0, valid),
-                "fd feature points": fd.d_features, "fd token points": fd.d_tokens}
+                "fd feature points": fd.d_features, "fd token points": fd.d_tokens,
+                "eah.alignment_map": [eah.alignment_map(fv, eah.TokenBatch(t, v)) for fv in features
+                                      for t, v in zip(toks, valid)]}
 
     (function, old, new), = verify.FAULTS[fault][1]
     clean, code = outputs(), function.__code__

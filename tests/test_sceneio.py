@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,14 @@ class TestHeatmaps:
         data = read_pgm(path)
         assert data.shape == (4, 6)
         assert (data == data[0, 0]).all()
+
+    def test_range_wider_than_the_largest_float(self, tmp_path):
+        # hi - lo overflowed to inf, and the map was written as zeros with numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sidecar = export_heatmaps(tmp_path / "hm", np.array([[[1e308, -1e308], [0.0, 5.0]]]))
+        assert (sidecar["maps"][0]["min"], sidecar["maps"][0]["max"]) == (-1e308, 1e308)
+        np.testing.assert_array_equal(read_pgm(tmp_path / "hm" / "prompt_00.pgm"), [[255, 0], [128, 128]])
 
     def test_bounds_reconstruct_values_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)

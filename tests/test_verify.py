@@ -87,8 +87,8 @@ def test_nan_residual_fails_its_check():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("fault", ["eah-map-scaled-1e-9", "eah-map-offset-1e-9"])
 def test_head_map_edits_fail_eah(fault, seed):
-    # both edit the maps of gradients._head, the head the loss runs; while the eah group
-    # checked the tensor form in eah.py instead, they passed every check at every seed
+    # both edit the maps of gradients._head, the one head, which the loss and eah.alignment_map
+    # run; a suite that checked a second copy of the head passed them at every seed
     assert failures(faulted_run(fault, groups=["eah"], seed=seed))
 
 
