@@ -72,5 +72,5 @@ def export_heatmaps(out_dir, maps):
 
 
 def reconstruct(pgm_values, lo, hi):
-    """Map 8-bit gray back to original units using the sidecar bounds."""
-    return lo + pgm_values.astype(np.float64) / 255.0 * (hi - lo)
+    """Map 8-bit gray back to original units using the sidecar bounds, by halves as write_pgm scales."""
+    return (lo / 2 + np.asarray(pgm_values, dtype=np.float64) / 255.0 * (hi / 2 - lo / 2)) * 2

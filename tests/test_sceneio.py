@@ -200,6 +200,18 @@ class TestHeatmaps:
         assert (sidecar["maps"][0]["min"], sidecar["maps"][0]["max"]) == (-1e308, 1e308)
         np.testing.assert_array_equal(read_pgm(tmp_path / "hm" / "prompt_00.pgm"), [[255, 0], [128, 128]])
 
+    def test_reconstruct_range_wider_than_the_largest_float(self):
+        # lo + v / 255 * (hi - lo) overflowed: hi - lo is inf, and this read [[inf, nan], [inf, inf]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = reconstruct(np.array([[255, 0], [128, 128]], dtype=np.uint8), -1e308, 1e308)
+        assert rec[0].tolist() == [1e308, -1e308] and rec[1, 0] == rec[1, 1]
+        assert rec[1, 0] == pytest.approx(1e308 / 255, rel=1e-12)  # 128 of 255 steps of 2e308 past -1e308
+        rng = np.random.default_rng(2)
+        for lo, hi in np.sort(rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-300, 300, size=(50, 1)), axis=1):
+            v = rng.integers(0, 256, size=(3, 4)).astype(np.uint8)
+            assert reconstruct(v, lo, hi).tobytes() == (lo + v.astype(np.float64) / 255.0 * (hi - lo)).tobytes()
+
     def test_bounds_reconstruct_values_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(12, 9)) * 4

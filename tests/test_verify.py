@@ -1,14 +1,19 @@
 """The verify registry as tier-1: every registered check, at every seed in one range.
 
-Each property the registry states (the head's temperature limits and
-invariances, InfoNCE's shift and temperature invariance, the geometry chain's
-advantage, the Gibbs minimizer, MIL pooling, the gradient oracles) is written
-once, as a check in `expalign.verify`; this module runs them. Each fault of
-`verify.FAULTS` shows that its group can fail within the seeds tier-1 runs.
+Each property the registry states (the head and InfoNCE against their loops,
+the geometry chain's advantage, the Gibbs minimizer and its limits, MIL
+pooling, the gradient oracles and their comparator) is written once, as a
+check in `expalign.verify`; this module runs them. Each fault of
+`verify.FAULTS` shows that its group can fail within the seeds tier-1 runs,
+and tools/mutation_scan.py, which measures the checks against one-token
+mutants, runs here on one small function.
 """
 
+import importlib.util
 import inspect
+import io
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -20,7 +25,8 @@ from expalign import fusion, gradients, verify
 from expalign.errors import DomainError
 
 GROUPS = sorted({group for _, group, _, _ in verify._CHECKS})
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SEEDS = range(10)
 
 
@@ -58,8 +64,8 @@ def test_check_names_unique_and_groups_contiguous():
 
 
 def test_duplicate_check_name_rejected():
-    with pytest.raises(ValueError, match="^check 'fusion_linearity' is registered twice$"):
-        verify._register("fusion_linearity", "fusion", 0.0)
+    with pytest.raises(ValueError, match="^check 'fusion_block_loop_oracle' is registered twice$"):
+        verify._register("fusion_block_loop_oracle", "fusion", 0.0)
 
 
 def test_streams_do_not_depend_on_registry_order(monkeypatch):
@@ -204,3 +210,17 @@ def test_faulted_run_restores_every_patched_attribute(monkeypatch, fault):
     assert crashed.detail == "raised RuntimeError: check crashed"
     assert after.name == verify._CHECKS[2][0]
     assert all(function.__code__ is code for function, code in originals)
+
+
+def test_mutation_scan_names_the_checks_that_kill():
+    # the scan lives outside tier-1; its smallest target keeps it from rotting: one mutant, one seed
+    spec = importlib.util.spec_from_file_location("mutation_scan", ROOT / "tools" / "mutation_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    out = io.StringIO()
+    summary = scan.scan([fusion.upsample2x_adjoint], out, seeds=[0], faults={})
+    record, last = (json.loads(line) for line in out.getvalue().splitlines())
+    assert (record["function"], record["new"]) == ("fusion.upsample2x_adjoint", "return np.multiply(out, 8.0, out=out)")
+    assert "grad_fixed_features" in record["failed"]["0"]
+    assert last == summary and (summary["mutants"], summary["killed"]) == (1, 1)
+    assert fusion.upsample2x_adjoint(np.ones((2, 2))).tolist() == [[4.0]]  # the original code is back
