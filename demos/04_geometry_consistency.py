@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from expalign.gaco import GacoConfig, gaco_forward
+from expalign.gaco import GacoConfig, confidence, gaco_forward, region_stats
 
 rng = np.random.default_rng(3)
 
@@ -25,7 +25,8 @@ cfg = GacoConfig(clip=3.0, eps=1e-6, normalize=False)
 res = gaco_forward(maps, masks, cfg)
 
 print("pair distribution sums to", np.exp(res.log_probs).sum())
-print("region stats (mu, sigma):", [tuple(np.round(s, 3)) for s in res.stats])
+stats = [region_stats(confidence(maps[p][masks[p]]), cfg.eps, cfg.std_mode) for p in range(2)]
+print("region stats (mu, sigma):", [(round(mu, 3), round(sigma, 3)) for mu, sigma in stats])
 print("advantage inside region 0:\n", np.round(res.adv[0, 1:4, 1:4], 2))
 print("per-region advantage sums:",
       [round(float(res.adv[p][masks[p]].sum()), 10) for p in range(2)])

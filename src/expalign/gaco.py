@@ -92,10 +92,9 @@ def region_stats(vals, eps=1e-6, std_mode="population"):
     return float(mu), float(sigma)
 
 
-def advantage(r, mu, sigma, clip=3.0):
-    """Standardize r and clip to [-clip, clip]."""
-    r = np.asarray(r, dtype=np.float64)
-    return np.clip((r - mu) / sigma, -clip, clip)
+def advantage(score, clip=3.0):
+    """Clip a standardized score, (r - mu) / sigma, to [-clip, clip]."""
+    return np.clip(np.asarray(score, dtype=np.float64), -clip, clip)
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,11 @@ class GacoResult:
     loss: float            # an array over the leading axes of a stack of maps
     log_probs: np.ndarray  # log joint softmax of z, the map after optional normalization
     conf: np.ndarray       # sigmoid(z[masks]), in masks order; None when the advantage is frozen
+    score: np.ndarray      # (conf - mu) / sigma with each cell's region statistics, in masks order, before
+                           # the clip; None when the advantage is frozen
     adv: np.ndarray        # clipped advantage, zero outside masks
     masks: np.ndarray      # boolean (P, H, W)
     denom: int             # total masked cell count
-    stats: tuple           # per-prompt (mu, sigma) or None for empty regions
     cfg: GacoConfig        # the config the chain ran with
     up_map: np.ndarray     # the (P, H, W) fine map the chain ran on
 
@@ -125,9 +125,9 @@ def mask_segments(masks):
 def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     """Run the full chain on a (P, H3, W3) fine fused map.
 
-    The confidence and the advantage are computed on the masked cells only, one call
-    each, with one region_stats call per nonempty prompt segment of z[masks]. frozen_adv
-    substitutes a precomputed advantage tensor, which is how the
+    The confidence, the score and the advantage are computed on the masked cells
+    only, one call each, with one region_stats call per nonempty prompt segment of
+    z[masks]. frozen_adv substitutes a precomputed advantage tensor, which is how the
     finite-difference oracle honors the stop-gradient on the advantage.
     With frozen_adv, up_map may be a (..., P, H3, W3) stack of maps sharing
     the masks and the advantage; the loss and log_probs then carry its
@@ -148,19 +148,15 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
         if adv.shape != masks.shape:
             raise DimensionError(f"frozen_adv {adv.shape} must match the map {masks.shape}")
         masked_adv = adv[masks]
-        conf = None
-        stats = (None,) * masks.shape[0]
+        conf = score = None
     else:
         conf = confidence(z.ravel().take(cells))
         cell_mu, cell_sigma = np.empty((2, conf.size))  # each masked cell's region statistics
-        stats = []
         for start, stop in segments:
-            if start == stop:
-                stats.append(None)  # empty region contributes nothing
-                continue
-            stats.append(region_stats(conf[start:stop], cfg.eps, cfg.std_mode))
-            cell_mu[start:stop], cell_sigma[start:stop] = stats[-1]
-        masked_adv = advantage(conf, cell_mu, cell_sigma, cfg.clip)
+            if start < stop:  # an empty region contributes nothing
+                cell_mu[start:stop], cell_sigma[start:stop] = region_stats(conf[start:stop], cfg.eps, cfg.std_mode)
+        score = (conf - cell_mu) / cell_sigma
+        masked_adv = advantage(score, cfg.clip)
         adv = np.zeros(up_map.shape)
         adv.ravel()[cells] = masked_adv
 
@@ -168,7 +164,7 @@ def gaco_forward(up_map, masks, cfg=GacoConfig(), frozen_adv=None):
     masked_log_probs = _flat_maps(log_probs).take(cells, axis=-1)
     loss = -(masked_adv * masked_log_probs).sum(axis=-1) / denom if denom > 0 else np.zeros(up_map.shape[:-3])
     return GacoResult(loss=float(loss) if loss.ndim == 0 else loss, log_probs=log_probs, conf=conf,
-                      adv=adv, masks=masks, denom=denom, stats=tuple(stats), cfg=cfg, up_map=up_map)
+                      score=score, adv=adv, masks=masks, denom=denom, cfg=cfg, up_map=up_map)
 
 
 def gaco_backward(res, g_loss):

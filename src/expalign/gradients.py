@@ -42,7 +42,7 @@ import numpy as np
 
 from . import fusion, semantic
 from .errors import DimensionError, DomainError
-from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward, mask_segments
+from .gaco import GacoConfig, GacoResult, gaco_backward, gaco_forward
 from .variational import gibbs
 
 FD_STEP = 1e-4       # step of finite_difference_gradient's central differences
@@ -445,20 +445,12 @@ def nondegeneracy_margins(tr):
     clip (at the trace's own clip bound), the per-scale argmax token, and the
     max-abs normalizer. Gradient checks require each to clear 1e-2.
     """
-    margins = {"topk": _order_gap(tr.dw.reshape(tr.dw.shape[0], -1), tr.k)}  # k = N has no cut
-
-    clip_margin, c = np.inf, tr.gaco.cfg.clip
-    for st, (start, stop) in zip(tr.gaco.stats, mask_segments(tr.gaco.masks)[1]):
-        if st is None:
-            continue
-        mu, sigma = st
-        zpre = (tr.gaco.conf[start:stop] - mu) / sigma
-        clip_margin = float(np.minimum(clip_margin, np.min(np.minimum(np.abs(zpre - c), np.abs(zpre + c)))))
-    margins["clip"] = clip_margin
-
-    margins["token_argmax"] = _order_gap(np.where(tr.valid_stack, tr.sbars, -np.inf))  # pads rank last
-    margins["norm_argmax"] = _order_gap(np.abs(tr.gaco.up_map).ravel())
-    return margins
+    score, c = tr.gaco.score, tr.gaco.cfg.clip  # score is None under a frozen advantage, which has no clip
+    return {"topk": _order_gap(tr.dw.reshape(tr.dw.shape[0], -1), tr.k),  # k = N has no cut
+            # ||z| - c| is min(|z - c|, |z + c|) to the bit, and np.min keeps a NaN
+            "clip": np.inf if score is None else float(np.min(np.abs(np.abs(score) - c), initial=np.inf)),
+            "token_argmax": _order_gap(np.where(tr.valid_stack, tr.sbars, -np.inf)),  # pads rank last
+            "norm_argmax": _order_gap(np.abs(tr.gaco.up_map).ravel())}
 
 
 def _order_gap(v, k=1):

@@ -96,15 +96,14 @@ def infonce_rows(logits, positives, tau):
 
 def pooled_infonce_backward(logits, selections, positives, shape, tau, g_loss):
     """Gradient of g_loss * infonce_multi_positive(logits) with respect to the (P, H, W) coarse
-    maps; top-k sets are locally constant, so each logit's gradient spreads evenly over its set."""
+    maps, given each prompt's top-k set of one k as pooled_logits selects them; top-k sets are
+    locally constant, so each logit's gradient spreads evenly over its set."""
     positives = sorted({int(p) for p in positives})
     q = gibbs(logits / tau)
     y = np.zeros(len(logits))
     y[positives] = 1.0
     d_logit = (q - y / len(positives)) / tau
     g = np.zeros(shape)
-    flat = g.reshape(shape[0], -1)
-    for p, sel in enumerate(selections):
-        flat[p, sel] = d_logit[p] / len(sel)
+    g.reshape(len(g), -1)[np.arange(len(g))[:, None], selections] = (d_logit / len(selections[0]))[:, None]
     g *= g_loss
     return g

@@ -180,17 +180,12 @@ def fine_maps(scene, token_delta=None, tau_t=1.0):
 def localization_accuracy(scene, token_delta=None, tau_t=1.0):
     """Fraction of masked prompts whose top fine-map cell lies inside their mask."""
     up = fine_maps(scene, token_delta, tau_t)
-    hits = counted = 0
-    for p in range(up.shape[0]):
-        region = scene.masks[p]
-        if not region.any():
-            continue
-        counted += 1
-        if region.ravel()[int(np.argmax(up[p]))]:
-            hits += 1
+    regions = scene.masks.reshape(len(up), -1)
+    counted = int(regions.any(axis=1).sum())
     if counted == 0:
         raise DomainError("no prompt has a mask; accuracy undefined")
-    return hits / counted
+    # a prompt without a mask never hits; argmax keeps the first of tied cells
+    return int(regions[np.arange(len(up)), up.reshape(len(up), -1).argmax(axis=1)].sum()) / counted
 
 
 @dataclass

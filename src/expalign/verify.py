@@ -24,12 +24,12 @@ mutant is one row.
 import inspect
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fusion, gaco, gradients, semantic, variational
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .gradients import (
     ObjectiveConfig,
     finite_difference_gradient,
@@ -88,6 +88,22 @@ def _worst(*residuals):
 def _draw_head_inputs(rng, h, w, l, c=4):
     """(C, H, W) features and (L, C) tokens whose similarities are standard normal."""
     return rng.normal(size=(c, h, w)), rng.normal(size=(l, c)) / math.sqrt(c)
+
+
+def _loop_scores(up, masks, cfg):
+    """Each masked cell's standardized confidence under the GacoConfig cfg, in masks order,
+    as per-cell loops: the sigmoid of the normalized map, then each region's mean and std."""
+    scale = float(np.abs(up).max()) + cfg.eps if cfg.normalize else 1.0
+    scores = []
+    for p in range(len(up)):
+        conf = [1.0 / (1.0 + math.exp(-x / scale)) for x in up[p][masks[p]]]
+        if not conf:
+            continue
+        mu = sum(conf) / len(conf)
+        var = sum((c - mu) ** 2 for c in conf) / len(conf)
+        sigma = math.sqrt(var + cfg.eps) if cfg.std_mode == "population" else math.sqrt(var) + cfg.eps
+        scores += [(c - mu) / sigma for c in conf]
+    return scores
 
 
 def _draw_objective_inputs(rng):
@@ -232,6 +248,22 @@ def _sem_ties(rng):
     return float(mismatches), "ties keep the lowest index: the first k of a sort on (-value, index)"
 
 
+@_register("sem_topk_budget", "sem", 0.0)
+def _sem_budget(rng):
+    # P = 3 prompts on fine grids 8x16 and 16x8 (coarse 2x4 and 4x2): floor(128 ratio) is
+    # 0, 3 and 12 at the three ratios, so the lower clamp binds, neither does, and the clamp
+    # to the 8 coarse cells binds
+    mismatches = 0
+    for h3, w3 in ((8, 16), (16, 8)):
+        features = [rng.normal(size=(2, h3 // f, w3 // f)) for f in (1, 2, 4)]
+        tokens, masks = rng.normal(size=(3, 2, 2)), np.zeros((3, h3, w3), dtype=bool)
+        for ratio in (0.005, 0.03, 0.1):
+            tr = forward(features, tokens, masks, [0], ObjectiveConfig(topk_ratio=ratio))
+            k = max(1, min(math.floor(h3 * w3 * ratio), (h3 // 4) * (w3 // 4)))
+            mismatches += int(tr.k != k) + sum(len(sel) != k for sel in tr.selections)
+    return float(mismatches), "the loss's k and selection widths against max(1, min(floor(H3 W3 ratio), H5 W5))"
+
+
 # ------------------------------------------------------------------ gaco
 
 @_register("gaco_bounds", "gaco", 0.0)
@@ -297,20 +329,11 @@ def _gaco_stats(rng):
 def _gaco_adv_loop(rng):
     m = rng.normal(size=(3, 6, 6))
     masks = rng.random(size=(3, 6, 6)) < 0.5
-    scale = float(np.abs(m).max())
     worst = 0.0
     for std_mode in gaco.STD_MODES:
         cfg = gaco.GacoConfig(clip=1.5, eps=0.1, std_mode=std_mode)  # clips some cells; eps sets the two modes apart
-        adv = gaco.gaco_forward(m, masks, cfg).adv
-        for p in range(3):
-            conf = [1.0 / (1.0 + math.exp(-x / (scale + cfg.eps))) for x in m[p][masks[p]]]
-            if not conf:
-                continue
-            mu = sum(conf) / len(conf)
-            var = sum((c - mu) ** 2 for c in conf) / len(conf)
-            sigma = math.sqrt(var + cfg.eps) if std_mode == "population" else math.sqrt(var) + cfg.eps
-            loop = [min(max((c - mu) / sigma, -cfg.clip), cfg.clip) for c in conf]
-            worst = _worst(worst, float(np.abs(adv[p][masks[p]] - loop).max()))
+        loop = [min(max(z, -cfg.clip), cfg.clip) for z in _loop_scores(m, masks, cfg)]
+        worst = _worst(worst, float(np.abs(gaco.gaco_forward(m, masks, cfg).adv[masks] - loop).max()))
     return worst, "masked advantages against a per-cell sigmoid, region statistics and clip"
 
 
@@ -413,7 +436,13 @@ def _grad_error_planted(rng):
         analytic[i].flat[j] = scale * numeric[i].flat[j]
         a, n = (gradients.GradientBundle(g[:3], g[3:], 0.0, 0.0, 0.0) for g in (analytic, numeric))
         worst = _worst(worst, abs(relative_gradient_error(a, n) - expected))
-    return worst, "known relative errors planted at one coordinate, one of them at the floor"
+    try:  # one prompt's token gradient a row short: no comparison, however it would broadcast
+        relative_gradient_error(a, gradients.GradientBundle(n.d_features, [n.d_tokens[0], n.d_tokens[1][:1]],
+                                                            0.0, 0.0, 0.0))
+        worst = math.inf
+    except DimensionError:
+        pass
+    return worst, "known relative errors planted at one coordinate, one of them at the floor, and a shape mismatch"
 
 
 @_register("grad_order_gap_sort", "grad", 0.0)
@@ -426,6 +455,42 @@ def _grad_order_gap(rng):
         got = gradients._order_gap(v, k)
         worst = _worst(worst, 0.0 if got == expected else abs(got - expected))
     return worst, "k-th minus (k+1)-th largest, least over rows, against a sort at every k"
+
+
+def _loop_margins(tr):
+    """nondegeneracy_margins one row and one cell at a time: each gap read off a sorted
+    list, and the clip margin from _loop_scores."""
+    def gap(values, k=1):  # a list's k-th largest value minus its (k+1)-th; inf without a (k+1)-th
+        desc = sorted(values, reverse=True)
+        return desc[k - 1] - desc[k] if k < len(desc) else math.inf
+    c = tr.gaco.cfg.clip
+    return {"topk": min(gap(m.ravel().tolist(), tr.k) for m in tr.dw),
+            "clip": min([math.inf] + [min(abs(z - c), abs(z + c))
+                                      for z in _loop_scores(tr.gaco.up_map, tr.gaco.masks, tr.gaco.cfg)]),
+            "token_argmax": min(gap([s for s, ok in zip(row, valid) if ok])
+                                for rows in tr.sbars.tolist() for row, valid in zip(rows, tr.valid_stack.tolist())),
+            "norm_argmax": gap(np.abs(tr.gaco.up_map).ravel().tolist())}
+
+
+@_register("grad_margins_loop_oracle", "grad", 1e-12)
+def _grad_margins_loop(rng):
+    # P = 3 on an 8x16 fine grid (2x4 coarse); every token row holds a pad: prompt 0 is a
+    # token short of the stack, prompts 1 and 2 have an invalid token; prompt 2 has no region
+    features = [rng.normal(size=(3, 8 // f, 16 // f)) for f in (1, 2, 4)]
+    tokens = [rng.normal(size=(n, 3)) for n in (3, 4, 4)]
+    valid = [None, np.array([True, True, False, True]), np.array([True, True, True, False])]
+    masks = rng.random(size=(3, 8, 16)) < 0.4
+    masks[2] = False
+    worst = 0.0
+    for normalize, std_mode, ratio in ((True, "population", 0.05), (False, "std_plus_eps", 0.01)):  # k = 6, 1
+        cfg = ObjectiveConfig(topk_ratio=ratio, gaco=gaco.GacoConfig(eps=0.1, normalize=normalize, std_mode=std_mode))
+        scores = _loop_scores(gradients.fused_maps(features, tokens, cfg.tau_t, valid)[1], masks, cfg.gaco)
+        clip = abs(scores[rng.integers(len(scores))]) + 10 ** rng.uniform(-4, -2)  # a cell just inside the clip
+        tr = forward(features, tokens, masks, [0], replace(cfg, gaco=replace(cfg.gaco, clip=clip)), valid)
+        got, want = nondegeneracy_margins(tr), _loop_margins(tr)
+        exact = all(got[key] == want[key] for key in ("topk", "token_argmax", "norm_argmax"))
+        worst = _worst(worst, abs(got["clip"] - want["clip"]), 0.0 if exact else math.inf)
+    return worst, "the four margins against per-row sorts and per-cell scores; all but the clip's bit for bit"
 
 
 def sample_gradcheck_case(seed, cfg=ObjectiveConfig()):
@@ -568,8 +633,9 @@ FAULTS = {
     "fd-stencil-weight-1.001": ("grad", ((objective_fd_gradients, 'FD_STENCIL["pairs"]',
                                           "((1, 8.0), (2, -1.001))"),)),
     "grad-dsbar-no-tau": ("grad", ((gradients._token_chain, "pi / tau_t * (", "pi * ("),)),
-    "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward, "flat[p, sel] = d_logit[p] / len(sel)",
-                                     "flat[p, sel[0]] = d_logit[p]"),)),
+    "grad-topk-one-cell": ("grad", ((semantic.pooled_infonce_backward,
+                                     "[:, None], selections] = (d_logit / len(selections[0]))[:, None]",
+                                     ", np.asarray(selections)[:, 0]] = d_logit"),)),
     "fd-moved-scale-base-head": ("grad", ((objective_fd_gradients,
                                            "eams[s] = _head([x], base.tok_stack, base.valid_stack, cfg.tau_t)[3][0]",
                                            "pass"),)),

@@ -26,31 +26,32 @@ CHAIN_VALUE = -0.5 * math.log(3.0)
 
 def gaco_forward_reference(up_map, masks, cfg, frozen_adv=None):
     """The chain as a per-prompt loop over the full map: the confidence of every
-    cell, then each region's mean, std and advantage read from it.
+    cell, then each region's mean, std, standardized score and advantage read from it.
 
-    Returns (loss, log_probs, conf, adv, stats), with conf over the whole map."""
+    Returns (loss, log_probs, conf, score, adv), with conf over the whole map and the
+    score of each masked cell in masks order (None for a frozen advantage)."""
     z = normalize_sim(up_map, cfg.eps) if cfg.normalize else up_map
     log_probs = log_joint_softmax(z)
     if frozen_adv is not None:
-        conf, adv, stats = None, frozen_adv, (None,) * up_map.shape[0]
+        conf, score, adv = None, None, frozen_adv
     else:
         conf = confidence(z)
         adv = np.zeros_like(up_map)
-        stats = []
+        score = []
         for p in range(up_map.shape[0]):
             region = masks[p]
             if not region.any():
-                stats.append(None)
                 continue
             vals = conf[p][region]
             mu = vals.mean()
             var = np.mean((vals - mu) ** 2)
             sigma = np.sqrt(var + cfg.eps) if cfg.std_mode == "population" else np.sqrt(var) + cfg.eps
-            stats.append((float(mu), float(sigma)))
-            adv[p, region] = np.clip((conf[p, region] - float(mu)) / float(sigma), -cfg.clip, cfg.clip)
+            score.append((conf[p, region] - float(mu)) / float(sigma))
+            adv[p, region] = np.clip(score[-1], -cfg.clip, cfg.clip)
+        score = np.concatenate(score) if score else np.zeros(0)
     denom = int(masks.sum())
     loss = float(-(adv[masks] * log_probs[masks]).sum() / denom) if denom > 0 else 0.0
-    return loss, log_probs, conf, adv, tuple(stats)
+    return loss, log_probs, conf, score, adv
 
 
 def same_bits(a, b):
@@ -177,14 +178,15 @@ class TestRegionStats:
 
 
 class TestAdvantage:
+    # advantage clips a standardized score, (r - mu) / sigma, which gaco_forward computes
     def test_zero_when_equal_to_mean(self):
-        assert not advantage(np.full(4, 0.3), 0.3, 0.1).any()
+        assert not advantage((np.full(4, 0.3) - 0.3) / 0.1).any()
 
     def test_clip_saturates(self):
-        assert advantage(np.array([10.0]), 0.0, 1.0, clip=3.0)[0] == 3.0
+        assert advantage(np.array([-10.0, 10.0]), clip=3.0).tolist() == [-3.0, 3.0]
 
     def test_worked_triple(self):
-        a = advantage(np.array([0.2, 0.4, 0.6]), 0.4, math.sqrt(0.08 / 3), clip=3.0)
+        a = advantage((np.array([0.2, 0.4, 0.6]) - 0.4) / math.sqrt(0.08 / 3), clip=3.0)
         np.testing.assert_allclose(a, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
 
@@ -231,7 +233,7 @@ class TestChainProperties:
         masks = np.zeros((2, 4, 4), bool)
         masks[0, 1:3, 1:3] = True  # prompt 1 empty
         res = gaco_forward(rng.normal(size=(2, 4, 4)), masks, GacoConfig())
-        assert res.stats[1] is None
+        assert res.score.shape == (4,)  # prompt 0's four cells only
         assert not res.adv[1].any()
         assert np.isfinite(res.loss)
 
@@ -259,13 +261,13 @@ class TestMaskedChainBitwise:
         for scale in (1e-3, 1.0, 8.0, 1e3):
             m = rng.normal(size=(4, 7, 6)) * scale
             masks = reference_masks(kind, rng, m.shape)
-            loss, log_probs, conf, adv, stats = gaco_forward_reference(m, masks, cfg)
+            loss, log_probs, conf, score, adv = gaco_forward_reference(m, masks, cfg)
             res = gaco_forward(m, masks, cfg)
             assert same_bits(res.loss, loss)
             assert same_bits(res.log_probs, log_probs)
             assert same_bits(res.conf, conf[masks])
+            assert same_bits(res.score, score)
             assert same_bits(res.adv, adv)
-            assert res.stats == stats
             assert res.denom == int(masks.sum())
 
     @pytest.mark.parametrize("kind", ["mixed", "all masked", "nothing masked"])
@@ -274,11 +276,11 @@ class TestMaskedChainBitwise:
         m = rng.normal(size=(4, 7, 6)) * 3
         masks = reference_masks(kind, rng, m.shape)
         frozen = rng.normal(size=m.shape)  # nonzero outside the masks too
-        loss, log_probs, _, _, stats = gaco_forward_reference(m, masks, GacoConfig(), frozen_adv=frozen)
+        loss, log_probs, _, score, _ = gaco_forward_reference(m, masks, GacoConfig(), frozen_adv=frozen)
         res = gaco_forward(m, masks, GacoConfig(), frozen_adv=frozen)
         assert same_bits(res.loss, loss)
         assert same_bits(res.log_probs, log_probs)
-        assert res.conf is None and res.stats == stats
+        assert res.conf is None and res.score is None and score is None
         assert same_bits(res.adv, frozen)
 
 

@@ -458,7 +458,7 @@ class TestNondegeneracyScreen:
         features, toks, valid, masks = small_problem(9)
         masks[1] = False
         tr = forward(features, toks, masks, [0], ObjectiveConfig(gaco=GacoConfig(normalize=False)), valid)
-        assert tr.gaco.stats[1] is None
+        assert tr.gaco.score.size == masks[0].sum()  # prompt 1 has no masked cell to score
         conf = confidence(tr.gaco.up_map[0][masks[0]])
         zpre = (conf - conf.mean()) / np.sqrt(conf.var() + 1e-6)
         margin = float(np.min(np.minimum(np.abs(zpre - 3.0), np.abs(zpre + 3.0))))
@@ -497,7 +497,7 @@ class TestNondegeneracyScreen:
         # Python's min(margin, nan) keeps the margin: with the NaN region dropped this read 1.372
         case = find_gradcheck_cases(1, base_seed=4000)[0]
         tr = forward(case["features"], case["tokens"], case["masks"], case["positives"], case["cfg"], case["valid"])
-        tr.gaco.conf[0] = np.nan
+        tr.gaco.score[0] = np.nan
         assert np.isnan(nondegeneracy_margins(tr)["clip"])
 
     def test_topk_margin_of_a_coarse_map_holding_a_nan(self):

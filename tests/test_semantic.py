@@ -5,6 +5,7 @@ import pytest
 
 from expalign.errors import DimensionError, DomainError
 from expalign.gradients import finite_difference_gradient
+from expalign.variational import gibbs
 from expalign.semantic import (
     infonce_multi_positive,
     pooled_infonce_backward,
@@ -99,6 +100,35 @@ class TestPooledInfoNCEBackward:
             lambda x: g_loss * infonce_multi_positive(pooled_logits(x, k)[0], positives, tau), maps, h=1e-5)
         assert np.abs(analytic - numeric).max() <= 1e-8
         assert (np.count_nonzero(analytic.reshape(3, -1), axis=1) == k).all()
+
+
+def pooled_infonce_backward_loop(logits, selections, positives, shape, tau, g_loss):
+    """pooled_infonce_backward as the per-prompt loop its one fancy-index assignment replaced."""
+    positives = sorted({int(p) for p in positives})
+    q = gibbs(logits / tau)
+    y = np.zeros(len(logits))
+    y[positives] = 1.0
+    d_logit = (q - y / len(positives)) / tau
+    g = np.zeros(shape)
+    flat = g.reshape(shape[0], -1)
+    for p, sel in enumerate(selections):
+        flat[p, sel] = d_logit[p] / len(sel)
+    g *= g_loss
+    return g
+
+
+class TestPooledInfoNCEBackwardLoopForm:
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (5, 4, 2), (2, 1, 3)])
+    def test_matches_the_per_prompt_loop_bitwise(self, shape):
+        # every k from 1 to H5 W5, on drawn selections and on pooled_logits' own
+        rng = np.random.default_rng(sum(shape))
+        n = shape[1] * shape[2]
+        for k in range(1, n + 1):
+            maps = rng.normal(size=shape)
+            drawn = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(shape[0])]
+            for logits, sels in ((rng.normal(size=shape[0]) * 3, drawn), pooled_logits(maps, k)):
+                args = (logits, sels, [0, shape[0] - 1], shape, 0.3, -1.7)
+                assert pooled_infonce_backward(*args).tobytes() == pooled_infonce_backward_loop(*args).tobytes()
 
 
 class TestInfoNCE:

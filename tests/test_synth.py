@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from expalign.eah import FeatureMap, TokenBatch
 from expalign.errors import DimensionError, DomainError
 from expalign.fusion import downsample2x
 from expalign.gradients import ObjectiveConfig
 from expalign.synth import (
     BENCHMARK_SEEDS,
+    Scene,
     FEATURE_NOISE,
     TOKEN_NOISE,
     TOKEN_SIGNAL,
@@ -16,6 +18,7 @@ from expalign.synth import (
     _auto_rects,
     benchmark_spec,
     demo_train,
+    fine_maps,
     generate_scene,
     localization_accuracy,
     region_profile,
@@ -182,6 +185,57 @@ class TestLocalizationAccuracy:
                              positives=scene.positives, directions=scene.directions)
         with pytest.raises(DomainError):
             localization_accuracy(broken)
+
+
+def localization_accuracy_loop(scene, token_delta=None, tau_t=1.0):
+    """localization_accuracy as the per-prompt loop its one-call argmax replaced."""
+    up = fine_maps(scene, token_delta, tau_t)
+    hits = counted = 0
+    for p in range(up.shape[0]):
+        region = scene.masks[p]
+        if not region.any():
+            continue
+        counted += 1
+        if region.ravel()[int(np.argmax(up[p]))]:
+            hits += 1
+    if counted == 0:
+        raise DomainError("no prompt has a mask; accuracy undefined")
+    return hits / counted
+
+
+class TestLocalizationAccuracyLoopForm:
+    """The one-call argmax against the per-prompt loop, value and bytes."""
+
+    @staticmethod
+    def same(scene, *args):
+        got, want = localization_accuracy(scene, *args), localization_accuracy_loop(scene, *args)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    def test_benchmark_scenes_with_negatives_and_deltas(self):
+        rng = np.random.default_rng(12)
+        for seed in range(1, 6):
+            scene = generate_scene(SceneSpec(seed=seed, prompts=5, n_negatives=2))  # two prompts without a mask
+            self.same(scene)
+            delta = [rng.normal(size=t.embeddings.shape) * 3 for t in scene.tokens]
+            self.same(scene, delta, 0.5)
+
+    def test_constant_map_takes_the_first_cell(self):
+        # zero features give a constant fine map, so every argmax is cell 0: a hit only where it is masked
+        masks = np.zeros((3, 8, 8), dtype=bool)
+        masks[0, :2, :2] = True   # holds cell 0
+        masks[1, 4:, 4:] = True   # does not
+        scene = Scene(features=tuple(FeatureMap(np.zeros((2, 8 // f, 8 // f))) for f in (1, 2, 4)),
+                      tokens=tuple(TokenBatch(np.ones((2, 2)), np.ones(2, dtype=bool)) for _ in range(3)),
+                      masks=masks, positives=(0, 1))
+        assert self.same(scene) == 0.5
+
+    def test_all_negative_scene_rejected_by_both(self):
+        scene = generate_scene(benchmark_spec(0))
+        scene = replace(scene, masks=np.zeros_like(scene.masks))
+        for accuracy in (localization_accuracy, localization_accuracy_loop):
+            with pytest.raises(DomainError, match="^no prompt has a mask; accuracy undefined$"):
+                accuracy(scene)
 
 
 class TestDemoTrain:

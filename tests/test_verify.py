@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from expalign import fusion, gradients, verify
+from expalign import fusion, gradients, semantic, verify
 from expalign.errors import DomainError
 
 GROUPS = sorted({group for _, group, _, _ in verify._CHECKS})
@@ -212,15 +212,30 @@ def test_faulted_run_restores_every_patched_attribute(monkeypatch, fault):
     assert all(function.__code__ is code for function, code in originals)
 
 
-def test_mutation_scan_names_the_checks_that_kill():
-    # the scan lives outside tier-1; its smallest target keeps it from rotting: one mutant, one seed
+def load_mutation_scan():
     spec = importlib.util.spec_from_file_location("mutation_scan", ROOT / "tools" / "mutation_scan.py")
     scan = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scan)
+    return scan
+
+
+def test_mutation_scan_names_the_checks_that_kill():
+    # the scan lives outside tier-1; its smallest target keeps it from rotting: one mutant, one seed
+    scan = load_mutation_scan()
     out = io.StringIO()
     summary = scan.scan([fusion.upsample2x_adjoint], out, seeds=[0], faults={})
     record, last = (json.loads(line) for line in out.getvalue().splitlines())
     assert (record["function"], record["new"]) == ("fusion.upsample2x_adjoint", "return np.multiply(out, 8.0, out=out)")
     assert "grad_fixed_features" in record["failed"]["0"]
     assert last == summary and (summary["mutants"], summary["killed"]) == (1, 1)
+    assert summary["survived_by_function"] == {}
     assert fusion.upsample2x_adjoint(np.ones((2, 2))).tolist() == [[4.0]]  # the original code is back
+
+
+def test_mutation_scan_counts_survivors_by_function(monkeypatch):
+    # with every mutant surviving, each function's count is its number of mutants
+    scan = load_mutation_scan()
+    monkeypatch.setattr(scan, "failed_checks", lambda edits, seeds: {})
+    summary = scan.scan([fusion.upsample2x_adjoint, semantic.topk_budget], io.StringIO(), seeds=[0], faults={})
+    counts = {"fusion.upsample2x_adjoint": 1, "semantic.topk_budget": summary["mutants"] - 1}
+    assert summary["killed"] == 0 and summary["survived_by_function"] == counts

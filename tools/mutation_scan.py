@@ -9,8 +9,8 @@ literal doubles, an integer literal grows by one. verify._edited_code plants eac
 with its whole source line as `old`; an edit of a line that occurs more than once
 in its function, or one that does not compile, is skipped and counted. Output: a
 JSON line per mutant with the checks that failed at each seed 0-9, or "survived";
-one per FAULTS row; a summary with the score and each check's count of mutants no
-other check kills.
+one per FAULTS row; a summary with the score, each check's count of mutants no
+other check kills, and each function's count of surviving mutants.
 """
 
 import inspect
@@ -87,7 +87,8 @@ def failed_checks(edits, seeds=SEEDS):
 
 def scan(functions, out, seeds=SEEDS, faults=verify.FAULTS):
     """Write a record per mutant of functions, one per row of faults, and a summary to out."""
-    start, skipped, alone, fault_alone, total, killed = time.perf_counter(), Counter(), Counter(), {}, 0, 0
+    start, skipped, alone, survived, fault_alone = time.perf_counter(), Counter(), Counter(), Counter(), {}
+    total = killed = 0
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         for fn in functions:
@@ -100,8 +101,10 @@ def scan(functions, out, seeds=SEEDS, faults=verify.FAULTS):
                 killers = {name for names in failed.values() for name in names}
                 total, killed = total + 1, killed + bool(killers)
                 alone.update(killers if len(killers) == 1 else ())
-                out.write(json.dumps({"function": f"{fn.__module__.split('.')[-1]}.{fn.__qualname__}",
-                                      "line": line, "old": old.strip(), "new": new.strip(),
+                function = f"{fn.__module__.split('.')[-1]}.{fn.__qualname__}"
+                if not killers:
+                    survived[function] += 1
+                out.write(json.dumps({"function": function, "line": line, "old": old.strip(), "new": new.strip(),
                                       "failed": failed or "survived"}) + "\n")
         for name, (group, edits) in faults.items():
             failed = failed_checks(edits, seeds)
@@ -111,7 +114,7 @@ def scan(functions, out, seeds=SEEDS, faults=verify.FAULTS):
             out.write(json.dumps({"fault": name, "group": group, "failed": failed or "survived"}) + "\n")
     summary = {"mutants": total, "killed": killed, "skipped": dict(skipped),
                "seconds": round(time.perf_counter() - start, 1), "killed_alone": dict(alone.most_common()),
-               "fault_failed_alone": fault_alone}
+               "fault_failed_alone": fault_alone, "survived_by_function": dict(survived.most_common())}
     out.write(json.dumps(summary) + "\n")
     return summary
 
